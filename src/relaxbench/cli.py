@@ -220,9 +220,12 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
         if not sep:
             raise DimacsFormatError("--seeds expects a half-open range like 0:1000")
         try:
-            return list(range(int(lo), int(hi)))
+            seeds = list(range(int(lo), int(hi)))
         except ValueError:
             raise DimacsFormatError(f"malformed seed range {args.seeds!r}") from None
+        if not seeds:
+            raise DimacsFormatError(f"seed range {args.seeds!r} is empty")
+        return seeds
     return [args.seed]
 
 
@@ -242,13 +245,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise DimacsFormatError(f"--check-oracle needs n <= {ORACLE_CAP}, graph has {g.n}")
     if args.detect_cycles and args.algorithm != "randomized":
         raise DimacsFormatError("--detect-cycles is only available with --algorithm randomized")
+    if args.ordering is not None and args.algorithm != "yen":
+        raise DimacsFormatError("--ordering is only available with --algorithm yen")
     if args.ordering == "adversarial" and g.source != 0:
         raise DimacsFormatError("the adversarial ordering requires source vertex 0")
     config = TrialConfig(
         graph=g,
         algorithm=args.algorithm,
         seeds=_parse_seeds(args),
-        ordering=args.ordering,
+        ordering=args.ordering or "identity",
         c=args.c,
         check_oracle=args.check_oracle,
         detect_cycles=args.detect_cycles,
@@ -320,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an engine over a seed batch")
     _add_graph_source_args(p_run)
     p_run.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_run.add_argument("--ordering", choices=ORDERINGS, default="identity",
-                       help="vertex ordering for --algorithm yen")
+    p_run.add_argument("--ordering", choices=ORDERINGS,
+                       help="vertex ordering for --algorithm yen (default identity)")
     seeds = p_run.add_mutually_exclusive_group()
     seeds.add_argument("--seed", type=int, default=0)
     seeds.add_argument("--seeds", type=str, help="half-open range A:B")

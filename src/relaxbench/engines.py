@@ -1,4 +1,6 @@
-"""The four shortest-path engines built on one shared relaxation primitive.
+"""The four shortest-path engines built on one relaxation rule.
+
+``SsspState.relax`` is the rule; the Yen pass kernel inlines it.
 
 All engines maintain per-vertex tentative distances and predecessors and count
 every relaxation exactly.  ``Unreached`` is represented by ``None`` so that an
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, Ordering, partition_edges, random_ordering
+from .graph import Graph, Ordering, random_ordering
 
 
 class SsspState:
@@ -144,6 +148,46 @@ def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator
         yield state
 
 
+def _drain_pass(heap: list[int], vertex_at: Sequence[int], adj: list[list[tuple[int, float]]],
+                key: list[Optional[int]], dist: list[Optional[float]], pred: list[Optional[int]],
+                changed_now: bytearray, changed_order: list[int]) -> tuple[int, int]:
+    """Relax the out-edges of every vertex on ``heap`` in ascending key order.
+
+    ``heap`` holds keys; ``vertex_at[k]`` is the vertex with key k, and
+    ``key[v]`` is v's key, or None when v has no out-edges in ``adj``.  A
+    vertex whose ``changed_now`` flag flips is pushed; every edge of ``adj``
+    leads to a larger key, so a pushed key is never behind the current one
+    and duplicates pop next to each other.  The body is ``SsspState.relax``
+    inlined.  Returns (relax calls, improvements).
+    """
+    heapify(heap)
+    calls = imps = 0
+    last = -1
+    while heap:
+        k = heappop(heap)
+        if k == last:
+            continue
+        last = k
+        u = vertex_at[k]
+        du = dist[u]
+        edges = adj[u]
+        calls += len(edges)
+        for v, w in edges:
+            alt = du + w
+            dv = dist[v]
+            if dv is None or dv > alt:
+                dist[v] = alt
+                pred[v] = u
+                imps += 1
+                if not changed_now[v]:
+                    changed_now[v] = 1
+                    changed_order.append(v)
+                    kv = key[v]
+                    if kv is not None:
+                        heappush(heap, kv)
+    return calls, imps
+
+
 def yen_iterations(g: Graph, ordering: Ordering,
                    state: Optional[SsspState] = None) -> Iterator[SsspState]:
     """Drive the two-subgraph engine one outer iteration at a time.
@@ -153,34 +197,47 @@ def yen_iterations(g: Graph, ordering: Ordering,
     A vertex's out-edges are relaxed iff it is in the frontier or its distance
     already changed earlier in the same iteration, so the descending pass sees
     the ascending pass's updates.  Self-loops are relaxed by neither pass.
+
+    Each pass drains a rank-keyed heap of exactly those vertices, so an
+    iteration costs the active vertices' out-edges plus O(log n) per
+    activated vertex, not O(n).  The relaxation sequence, and therefore
+    ``dist``, ``pred`` and every counter, is that of a rank-order scan
+    calling ``SsspState.relax``.
     """
+    ordering.validate_for(g)
     if state is None:
         state = SsspState(g)
-    part = partition_edges(g, ordering)
-    up_adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for u, v, w in part.plus:
-        up_adj[u].append((v, w))
-    down_adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for u, v, w in part.minus:
-        down_adj[u].append((v, w))
-    order = ordering.by_rank
-    # Guards only matter for vertices that have out-edges in the pass.
-    up_order = [u for u in order if up_adj[u]]
-    down_order = [u for u in reversed(order) if down_adj[u]]
+    n = g.n
+    rank = ordering.rank
+    # One pass in input order keeps each tail's edges in input order.
+    up_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    down_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in g.edges:
+        ru, rv = rank[u], rank[v]
+        if ru < rv:
+            up_adj[u].append((v, w))
+        elif ru > rv:
+            down_adj[u].append((v, w))
+    # The descending pass keys vertex v by n-1-rank[v], so both heaps pop
+    # their smallest key first.
+    up_key = [rank[v] if up_adj[v] else None for v in range(n)]
+    down_key = [n - 1 - rank[v] if down_adj[v] else None for v in range(n)]
+    up_vertex = ordering.by_rank
+    down_vertex = up_vertex[::-1]
 
-    changed_now = state.changed_now
-    relax = state.relax
+    dist, pred = state.dist, state.pred
+    changed_now, changed_order = state.changed_now, state._changed_order
     while state.frontier:
         state.begin_iteration()
         frontier = state.frontier
-        for u in up_order:
-            if u in frontier or changed_now[u]:
-                for v, w in up_adj[u]:
-                    relax(u, v, w)
-        for u in down_order:
-            if u in frontier or changed_now[u]:
-                for v, w in down_adj[u]:
-                    relax(u, v, w)
+        heap = [k for u in frontier if (k := up_key[u]) is not None]
+        calls, imps = _drain_pass(heap, up_vertex, up_adj, up_key,
+                                  dist, pred, changed_now, changed_order)
+        heap = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
+        down_calls, down_imps = _drain_pass(heap, down_vertex, down_adj, down_key,
+                                            dist, pred, changed_now, changed_order)
+        state.relax_calls += calls + down_calls
+        state.improvements += imps + down_imps
         state.end_iteration()
         yield state
 

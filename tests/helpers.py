@@ -8,12 +8,42 @@ from itertools import permutations
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from relaxbench import Graph, Ordering, floyd_warshall
+from relaxbench import Graph, Ordering, SsspState, floyd_warshall, partition_edges
 
 
 def as_inf(dist):
     """Engine distances use None for unreached; the oracle uses inf."""
     return [math.inf if d is None else d for d in dist]
+
+
+def guard_scan_yen_iterations(g: Graph, ordering: Ordering):
+    """Reference two-subgraph driver: the plain guard scan over every tail.
+
+    Scans all tails of each subgraph in (reverse) rank order and relaxes a
+    tail's out-edges through ``SsspState.relax`` iff it is in the frontier or
+    changed earlier in the same iteration.  ``yen_iterations`` must step
+    through exactly the same states.
+    """
+    state = SsspState(g)
+    part = partition_edges(g, ordering)
+    up_adj = [[] for _ in range(g.n)]
+    for u, v, w in part.plus:
+        up_adj[u].append((v, w))
+    down_adj = [[] for _ in range(g.n)]
+    for u, v, w in part.minus:
+        down_adj[u].append((v, w))
+    order = ordering.by_rank
+    passes = (([u for u in order if up_adj[u]], up_adj),
+              ([u for u in reversed(order) if down_adj[u]], down_adj))
+    while state.frontier:
+        state.begin_iteration()
+        for tails, adj in passes:
+            for u in tails:
+                if u in state.frontier or state.changed_now[u]:
+                    for v, w in adj[u]:
+                        state.relax(u, v, w)
+        state.end_iteration()
+        yield state
 
 
 def reachable_from_source(g: Graph) -> set[int]:

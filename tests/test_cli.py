@@ -160,6 +160,23 @@ def test_cli_seeds_syntax_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("seeds", ["5:5", "7:3"])
+def test_cli_empty_seed_range_exits_two(seeds, capsys):
+    rc = main(["run", "--gen", "path-worst-case", "--n", "4",
+               "--algorithm", "randomized", "--seeds", seeds])
+    assert rc == 2
+    assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "randomized"])
+def test_cli_ordering_requires_yen(algorithm, capsys):
+    args = ["run", "--gen", "path-worst-case", "--n", "4", "--algorithm", algorithm]
+    rc = main([*args, "--ordering", "random"])
+    assert rc == 2
+    assert "--ordering" in capsys.readouterr().err
+    assert main(args) == 0
+
+
 def test_cli_requires_exactly_one_graph_source(tmp_path, capsys):
     rc = main(["run", "--algorithm", "basic"])
     assert rc == 2

@@ -1,11 +1,13 @@
 import math
 import statistics
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbench import (
+    GeneratorSpec,
     Graph,
     Ordering,
     SsspState,
@@ -13,6 +15,8 @@ from relaxbench import (
     adversarial_ordering,
     basic_passes,
     identity_ordering,
+    random_graph,
+    random_ordering,
     run_adaptive,
     run_basic,
     run_randomized,
@@ -21,7 +25,14 @@ from relaxbench import (
     yen_iterations,
 )
 
-from helpers import as_inf, cycle_free_graphs, orderings_for
+from helpers import (
+    all_orderings,
+    as_inf,
+    cycle_free_graphs,
+    graphs,
+    guard_scan_yen_iterations,
+    orderings_for,
+)
 
 
 def test_relax_first_reach_improvement_and_tie():
@@ -127,6 +138,51 @@ def test_randomized_distances_are_seed_independent():
         state, _, ordering = run_randomized(g, seed)
         assert state.dist == baseline.dist
         assert ordering.rank[g.source] == 0
+
+
+def _yen_steps(driver, g):
+    # State after every iteration, capped at n + 1 iterations so that inputs
+    # with a reachable negative cycle stop too.
+    return [(list(s.dist), list(s.pred), set(s.frontier), s.relax_calls, s.improvements,
+             s.iterations) for s in islice(driver, g.n + 1)]
+
+
+def assert_kernel_matches_guard_scan(g, ordering):
+    assert (_yen_steps(yen_iterations(g, ordering), g)
+            == _yen_steps(guard_scan_yen_iterations(g, ordering), g))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_yen_kernel_matches_guard_scan_reference(data):
+    g = data.draw(graphs(max_n=8, max_edges=24))
+    assert_kernel_matches_guard_scan(g, data.draw(orderings_for(g)))
+
+
+@given(g=graphs(max_n=5))
+@settings(max_examples=60, deadline=None)
+def test_yen_kernel_matches_guard_scan_on_every_ordering(g):
+    for ordering in all_orderings(g):
+        assert_kernel_matches_guard_scan(g, ordering)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_yen_kernel_matches_guard_scan_on_larger_graphs(seed):
+    path = worst_case_path(60)
+    assert_kernel_matches_guard_scan(path, random_ordering(path, seed))
+    sparse = random_graph(GeneratorSpec(kind="random-sparse", n=40, m=160, weight_min=-2,
+                                        weight_max=9, seed=seed, ensure_reachable=True))
+    assert_kernel_matches_guard_scan(sparse, random_ordering(sparse, seed))
+
+
+@pytest.mark.parametrize("rank", [(0, 1), (0, 1, 2, 3), (1, 0, 2)])
+def test_yen_rejects_ordering_invalid_for_graph(rank):
+    g = worst_case_path(3)
+    ordering = Ordering(rank)
+    with pytest.raises(ValueError):
+        run_yen(g, ordering)
+    with pytest.raises(ValueError):
+        next(yen_iterations(g, ordering))
 
 
 @given(data=st.data())
