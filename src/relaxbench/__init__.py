@@ -36,7 +36,6 @@ from .graph import (
 )
 from .negcycle import (
     CycleVerdict,
-    ParentGraph,
     dense_relaxation_budget,
     detect_cycle_in_parent_graph,
     detection_start,
@@ -58,7 +57,6 @@ __all__ = [
     "Graph",
     "OracleResult",
     "Ordering",
-    "ParentGraph",
     "RunStats",
     "SsspState",
     "adaptive_iterations",

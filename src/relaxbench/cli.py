@@ -30,8 +30,6 @@ from .graph import Graph, identity_ordering, random_ordering
 from .negcycle import run_with_detection
 from .oracle import ORACLE_CAP, OracleResult, floyd_warshall
 
-ALGORITHMS = ("basic", "adaptive", "yen", "randomized")
-ORDERINGS = ("identity", "random", "adversarial")
 FORMATS = ("csv", "json-lines")
 
 
@@ -73,6 +71,23 @@ class TrialRecord:
 
 CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
+# name -> (graph, seed) -> Ordering, for --algorithm yen.
+ORDERINGS = {
+    "identity": lambda g, seed: identity_ordering(g),
+    "random": random_ordering,
+    "adversarial": lambda g, seed: adversarial_ordering(g.n),
+}
+
+# name -> (graph, seed, config) -> (state, stats): the one engine dispatch,
+# shared by ``run`` and ``verify``.
+ENGINES = {
+    "basic": lambda g, seed, config: run_basic(g, strict=config.strict_count),
+    "adaptive": lambda g, seed, config: run_adaptive(g),
+    "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering](g, seed)),
+    "randomized": lambda g, seed, config: run_randomized(g, seed)[:2],
+}
+ALGORITHMS = tuple(ENGINES)
+
 
 def _dist_matches_oracle(dist: list, oracle_row: list) -> bool:
     for d, expected in zip(dist, oracle_row):
@@ -89,6 +104,11 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     and the first mismatch raises :class:`OracleMismatchError`.  Trials are
     independent; records come back in seed order regardless of how they ran.
     """
+    engine = ENGINES.get(config.algorithm)
+    if engine is None:
+        raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    if config.ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {config.ordering!r}")
     g = config.graph
     oracle: Optional[OracleResult] = None
     if config.check_oracle:
@@ -106,22 +126,8 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         if config.detect_cycles:
             state, stats, verdict = run_with_detection(g, seed, config.c)
             found_cycle = verdict.found
-        elif config.algorithm == "basic":
-            state, stats = run_basic(g, strict=config.strict_count)
-        elif config.algorithm == "adaptive":
-            state, stats = run_adaptive(g)
-        elif config.algorithm == "yen":
-            if config.ordering == "identity":
-                ordering = identity_ordering(g)
-            elif config.ordering == "random":
-                ordering = random_ordering(g, seed)
-            else:
-                ordering = adversarial_ordering(g.n)
-            state, stats = run_yen(g, ordering)
-        elif config.algorithm == "randomized":
-            state, stats, _ = run_randomized(g, seed)
         else:
-            raise ValueError(f"unknown algorithm {config.algorithm!r}")
+            state, stats = engine(g, seed, config)
         wall = time.perf_counter_ns() - start
 
         if oracle is not None:
@@ -232,7 +238,6 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.gen is None or args.n is None:
         raise DimacsFormatError("generate requires --gen and --n")
-    args.input = None  # generate never reads a file
     g, label = _resolve_graph(args)
     write_dimacs(g, args.output)
     print(f"wrote {args.output}: n={g.n} m={g.m} ({label})")
@@ -247,8 +252,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise DimacsFormatError("--detect-cycles is only available with --algorithm randomized")
     if args.ordering is not None and args.algorithm != "yen":
         raise DimacsFormatError("--ordering is only available with --algorithm yen")
-    if args.ordering == "adversarial" and g.source != 0:
-        raise DimacsFormatError("the adversarial ordering requires source vertex 0")
+    if args.ordering == "adversarial" and (
+            g.source != 0
+            or {(u, v) for u, v, _ in g.edges} != {(i, i + 1) for i in range(g.n - 1)}):
+        raise DimacsFormatError(
+            "the adversarial ordering needs the path 0 -> 1 -> ... -> n-1 with source 0")
+    if args.strict_count and args.algorithm != "basic":
+        raise DimacsFormatError("--strict-count is only available with --algorithm basic")
     config = TrialConfig(
         graph=g,
         algorithm=args.algorithm,
@@ -289,13 +299,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failures += 0 if ok else 1
     else:
         row = oracle.dist[g.source]
-        runs = {
-            "basic": run_basic(g)[0],
-            "adaptive": run_adaptive(g)[0],
-            "yen": run_yen(g, identity_ordering(g))[0],
-            "randomized": run_randomized(g, args.seed)[0],
-        }
-        for name, state in runs.items():
+        for name, engine in ENGINES.items():
+            # The default config: identity ordering, non-strict counting.
+            state, _ = engine(g, args.seed, TrialConfig(g, name, [args.seed]))
             ok = _dist_matches_oracle(state.dist, row)
             print(f"{name}: {'ok' if ok else 'MISMATCH'}")
             failures += 0 if ok else 1

@@ -242,10 +242,12 @@ def yen_iterations(g: Graph, ordering: Ordering,
         yield state
 
 
-def _drain_capped(g: Graph, state: SsspState, iterator: Iterator[SsspState],
-                  engine: str) -> None:
-    # Cap outer iterations at n + 1: hitting it means a negative cycle leaked
-    # past the caller's preconditions.
+def _drain_capped(g: Graph, iterator: Iterator[SsspState], engine: str) -> None:
+    # Cap policy.  Cap outer iterations at n + 1 and warn on a hit: callers
+    # of run_yen and run_adaptive promise no reachable negative cycle, so a
+    # hit is their broken precondition and the partial state is returned.
+    # run_with_detection raises at its own cap, ceil(n/2) + 2, since there a
+    # hit means the library broke its own invariant; the contracts differ.
     cap = g.n + 1
     for st in iterator:
         if st.iterations >= cap and st.frontier:
@@ -274,7 +276,7 @@ def run_basic(g: Graph, strict: bool = False) -> tuple[SsspState, RunStats]:
 def run_adaptive(g: Graph) -> tuple[SsspState, RunStats]:
     """Changed-vertices-only passes with early termination."""
     state = SsspState(g)
-    _drain_capped(g, state, adaptive_iterations(g, state), "run_adaptive")
+    _drain_capped(g, adaptive_iterations(g, state), "run_adaptive")
     return state, _stats(state, terminated_early=not state.frontier)
 
 
@@ -284,7 +286,7 @@ def run_yen(g: Graph, ordering: Ordering) -> tuple[SsspState, RunStats]:
     Performs at most m*n/2 + m relax calls on negative-cycle-free inputs.
     """
     state = SsspState(g)
-    _drain_capped(g, state, yen_iterations(g, ordering, state), "run_yen")
+    _drain_capped(g, yen_iterations(g, ordering, state), "run_yen")
     return state, _stats(state, terminated_early=not state.frontier)
 
 

@@ -15,8 +15,7 @@ from typing import Optional
 
 from .graph import Edge, Graph, Ordering
 
-KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle",
-         "alternating-adversary")
+KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
 
 def worst_case_path(n: int) -> Graph:
@@ -78,7 +77,7 @@ class GeneratorSpec:
             raise ValueError("n must be >= 1")
         if self.weight_min > self.weight_max:
             raise ValueError("weight_min must be <= weight_max")
-        if self.kind in ("path-worst-case", "alternating-adversary"):
+        if self.kind == "path-worst-case":
             if self.n < 2:
                 raise ValueError(f"{self.kind} needs n >= 2")
             return
@@ -132,7 +131,7 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     whose weights are 1 except for the closing edge, which makes the total
     equal cycle_weight.
     """
-    if spec.kind in ("path-worst-case", "alternating-adversary"):
+    if spec.kind == "path-worst-case":
         raise ValueError(f"{spec.kind} is deterministic; use build_graph")
     rng = random.Random(spec.seed)
     n = spec.n
@@ -182,7 +181,7 @@ def random_graph(spec: GeneratorSpec) -> Graph:
 
 def build_graph(spec: GeneratorSpec) -> Graph:
     """Dispatch a spec to its generator (the CLI's single entry point)."""
-    if spec.kind in ("path-worst-case", "alternating-adversary"):
+    if spec.kind == "path-worst-case":
         return worst_case_path(spec.n)
     return random_graph(spec)
 

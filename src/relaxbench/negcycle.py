@@ -18,22 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
 from .graph import Graph, random_ordering
-
-
-@dataclass
-class ParentGraph:
-    """The functional graph of predecessor pointers (out-degree <= 1)."""
-
-    parent: List[Optional[int]]
-    n: int
-
-    @classmethod
-    def from_state(cls, state: SsspState) -> "ParentGraph":
-        return cls(list(state.pred), state.n)
 
 
 @dataclass
@@ -54,15 +42,17 @@ class CycleVerdict:
     distances: Optional[List[Optional[float]]] = None
 
 
-def detect_cycle_in_parent_graph(pg: ParentGraph) -> Optional[List[int]]:
-    """Return one cycle of the parent graph in parent-pointer order, if any.
+def detect_cycle_in_parent_graph(parent: Sequence[Optional[int]]) -> Optional[List[int]]:
+    """Return one cycle of the predecessor pointers in parent-pointer order, if any.
 
-    Pointer chasing with three-colour marking, linear in n.  The returned
-    list satisfies parent(list[i]) == list[i+1] cyclically.
+    ``parent[v]`` is v's predecessor or None, as in ``SsspState.pred``; the
+    list is only read.  Pointer chasing with three-colour marking, linear in
+    n.  The returned list satisfies parent[list[i]] == list[i+1] cyclically.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = bytearray(pg.n)
-    for start in range(pg.n):
+    n = len(parent)
+    color = bytearray(n)
+    for start in range(n):
         if color[start] != WHITE:
             continue
         chain: list[int] = []
@@ -70,7 +60,7 @@ def detect_cycle_in_parent_graph(pg: ParentGraph) -> Optional[List[int]]:
         while u is not None and color[u] == WHITE:
             color[u] = GRAY
             chain.append(u)
-            u = pg.parent[u]
+            u = parent[u]
         if u is not None and color[u] == GRAY:
             cycle = chain[chain.index(u):]
             for v in chain:
@@ -113,12 +103,15 @@ def detection_start(n: int, c: float) -> int:
     return min(iteration_threshold(n, c), iteration_cap(n))
 
 
-def _negative_self_loops(g: Graph) -> dict[int, float]:
-    loops: dict[int, float] = {}
-    for u, v, w in g.edges:
-        if u == v and w < 0:
-            loops[u] = min(w, loops.get(u, 0.0))
-    return loops
+def _self_loop_verdict(g: Graph, state: SsspState) -> CycleVerdict:
+    # The verdict on a converged run.  No pass relaxes a self-loop, so a
+    # negative self-loop on a reached vertex is the one reachable negative
+    # cycle left to report; the smallest such vertex is the certificate.
+    dist = state.dist
+    loops = [u for u, v, w in g.edges if u == v and w < 0 and dist[u] is not None]
+    if loops:
+        return CycleVerdict(True, [min(loops)], state.iterations, state.relax_calls)
+    return CycleVerdict(False, None, state.iterations, state.relax_calls, distances=list(dist))
 
 
 def _min_weight_pairs(g: Graph) -> dict[tuple[int, int], float]:
@@ -175,7 +168,7 @@ def run_with_detection(
     for st in yen_iterations(g, ordering, state):
         t = st.iterations
         if t >= start:
-            pp_cycle = detect_cycle_in_parent_graph(ParentGraph.from_state(st))
+            pp_cycle = detect_cycle_in_parent_graph(st.pred)
             if pp_cycle is not None:
                 cycle, _ = _extract_graph_cycle(g, pp_cycle)
                 verdict = CycleVerdict(True, cycle, t, st.relax_calls)
@@ -188,15 +181,8 @@ def run_with_detection(
                 "has not converged"
             )
 
-    for v, w in sorted(_negative_self_loops(g).items()):
-        if state.dist[v] is not None:
-            cycle = [v]
-            verdict = CycleVerdict(True, cycle, state.iterations, state.relax_calls)
-            return state, _stats(state, terminated_early=True, negative_cycle=cycle), verdict
-
-    verdict = CycleVerdict(False, None, state.iterations, state.relax_calls,
-                           distances=list(state.dist))
-    return state, _stats(state, terminated_early=True), verdict
+    verdict = _self_loop_verdict(g, state)
+    return state, _stats(state, terminated_early=True, negative_cycle=verdict.cycle), verdict
 
 
 def dense_relaxation_budget(n: int, c: float) -> float:
@@ -224,9 +210,4 @@ def monte_carlo_dense_detect(g: Graph, seed: int, c: float = 2.0) -> CycleVerdic
     for st in yen_iterations(g, ordering, state):
         if st.relax_calls > budget:
             return CycleVerdict(True, None, st.iterations, st.relax_calls)
-
-    for v, w in sorted(_negative_self_loops(g).items()):
-        if state.dist[v] is not None:
-            return CycleVerdict(True, [v], state.iterations, state.relax_calls)
-    return CycleVerdict(False, None, state.iterations, state.relax_calls,
-                        distances=list(state.dist))
+    return _self_loop_verdict(g, state)

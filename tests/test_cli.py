@@ -168,13 +168,32 @@ def test_cli_empty_seed_range_exits_two(seeds, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "randomized"])
-def test_cli_ordering_requires_yen(algorithm, capsys):
+# --ordering needs --algorithm yen, and --strict-count needs basic.
+@pytest.mark.parametrize("algorithm, flags", [
+    *(pytest.param(a, ["--ordering", "random"], id=a) for a in ("basic", "adaptive", "randomized")),
+    pytest.param("yen", ["--strict-count"], id="strict-count"),
+])
+def test_cli_ordering_requires_yen(algorithm, flags, capsys):
     args = ["run", "--gen", "path-worst-case", "--n", "4", "--algorithm", algorithm]
-    rc = main([*args, "--ordering", "random"])
+    rc = main([*args, *flags])
     assert rc == 2
-    assert "--ordering" in capsys.readouterr().err
+    assert flags[0] in capsys.readouterr().err
     assert main(args) == 0
+
+
+def test_cli_adversarial_ordering_requires_the_path(tmp_path, capsys):
+    args = ["--algorithm", "yen", "--ordering", "adversarial"]
+    rc = main(["run", "--gen", "random-sparse", "--n", "6", "--m", "9", *args])
+    assert rc == 2
+    assert "adversarial" in capsys.readouterr().err
+    # the path with any weights is accepted; a missing edge or a source other
+    # than 0 is not
+    gr = tmp_path / "p.gr"
+    gr.write_text("p sp 4 3\na 1 2 -5\na 2 3 7\na 3 4 0\n")
+    assert main(["run", "--input", str(gr), *args]) == 0
+    assert main(["run", "--input", str(gr), "--source", "2", *args]) == 2
+    gr.write_text("p sp 4 2\na 1 2 1\na 2 3 1\n")
+    assert main(["run", "--input", str(gr), *args]) == 2
 
 
 def test_cli_requires_exactly_one_graph_source(tmp_path, capsys):
@@ -185,6 +204,10 @@ def test_cli_requires_exactly_one_graph_source(tmp_path, capsys):
     rc = main(["run", "--input", str(out), "--gen", "path-worst-case", "--n", "4",
                "--algorithm", "basic"])
     assert rc == 2
+    rc = main(["generate", "--input", str(out), "--gen", "path-worst-case", "--n", "4",
+               "--output", str(tmp_path / "q.gr")])
+    assert rc == 2
+    assert not (tmp_path / "q.gr").exists()
 
 
 def test_run_trials_statistical_example_on_long_path():

@@ -161,8 +161,8 @@ def test_spec_validation():
 def test_build_graph_dispatch():
     path = build_graph(GeneratorSpec(kind="path-worst-case", n=7))
     assert path.edges == worst_case_path(7).edges
-    adv = build_graph(GeneratorSpec(kind="alternating-adversary", n=7))
-    assert adv.edges == path.edges
+    with pytest.raises(ValueError):
+        GeneratorSpec(kind="alternating-adversary", n=7)
     with pytest.raises(ValueError):
         random_graph(GeneratorSpec(kind="path-worst-case", n=7))
 

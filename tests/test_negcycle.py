@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from relaxbench import (
     GeneratorSpec,
     Graph,
-    ParentGraph,
     SsspState,
     dense_relaxation_budget,
     detect_cycle_in_parent_graph,
@@ -29,19 +28,19 @@ from helpers import graphs
 
 
 def test_parent_graph_detection_examples():
-    assert detect_cycle_in_parent_graph(ParentGraph([None, 0, 1], 3)) is None
-    assert detect_cycle_in_parent_graph(ParentGraph([None, 2, 1], 3)) == [1, 2]
-    assert detect_cycle_in_parent_graph(ParentGraph([None, None, None], 3)) is None
+    assert detect_cycle_in_parent_graph([None, 0, 1]) is None
+    assert detect_cycle_in_parent_graph([None, 2, 1]) == [1, 2]
+    assert detect_cycle_in_parent_graph([None, None, None]) is None
 
 
 def test_parent_graph_detection_tail_into_cycle():
     # 4 -> 3 -> 2 -> 1 -> 3: the cycle is {3, 2, 1} regardless of entry point
-    pg = ParentGraph([None, 3, 1, 2, 3], 5)
-    cycle = detect_cycle_in_parent_graph(pg)
+    parent = [None, 3, 1, 2, 3]
+    cycle = detect_cycle_in_parent_graph(parent)
     assert cycle is not None
     assert set(cycle) == {1, 2, 3}
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert pg.parent[a] == b
+        assert parent[a] == b
 
 
 def test_iteration_threshold_values():
@@ -158,7 +157,7 @@ def test_parent_cycle_appears_whenever_distance_beats_simple_paths():
                 for v in range(g.n)
             )
             if undercut:
-                assert detect_cycle_in_parent_graph(ParentGraph.from_state(st_)) is not None
+                assert detect_cycle_in_parent_graph(st_.pred) is not None
 
 
 def test_check_every_iteration_can_only_fire_earlier():
@@ -195,6 +194,14 @@ def test_monte_carlo_two_cycle_exhausts_budget():
 
 def test_monte_carlo_self_loop_certificate():
     g = Graph(2, ((0, 1, 1.0), (1, 1, -2.0)))
+    verdict = monte_carlo_dense_detect(g, seed=0)
+    assert verdict.found and verdict.cycle == [1]
+    # an unreached negative loop leaves the verdict clean
+    g = Graph(3, ((0, 1, 1.0), (2, 2, -2.0)))
+    verdict = monte_carlo_dense_detect(g, seed=0)
+    assert not verdict.found and verdict.distances == [0.0, 1.0, None]
+    # two reached loops: the smaller vertex is the certificate
+    g = Graph(3, ((0, 2, 1.0), (0, 1, 1.0), (2, 2, -1.0), (1, 1, -5.0)))
     verdict = monte_carlo_dense_detect(g, seed=0)
     assert verdict.found and verdict.cycle == [1]
 
