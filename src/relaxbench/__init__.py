@@ -44,7 +44,7 @@ from .negcycle import (
     monte_carlo_dense_detect,
     run_with_detection,
 )
-from .oracle import OracleResult, floyd_warshall, shortest_simple_path_lengths
+from .oracle import OracleResult, certify, floyd_warshall, shortest_simple_path_lengths
 from .permstats import alternation_count, count_local_minima, local_minima_tail_threshold
 
 __version__ = "0.1.0"
@@ -64,6 +64,7 @@ __all__ = [
     "alternation_count",
     "basic_passes",
     "build_graph",
+    "certify",
     "complete_over_path",
     "count_local_minima",
     "dense_relaxation_budget",

@@ -3,7 +3,7 @@
 Subcommands:
   generate   build an instance from generator flags and write it as DIMACS .gr
   run        run one engine over a seed batch, emit per-trial records
-  verify     run every engine against the exact oracle and report mismatches
+  verify     cross-check every engine and the detector against Floyd-Warshall
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 negative cycle detected under --fail-on-cycle.  Records are emitted in seed
@@ -28,13 +28,13 @@ from .engines import run_adaptive, run_basic, run_randomized, run_yen
 from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
 from .graph import Graph, identity_ordering, random_ordering
 from .negcycle import run_with_detection
-from .oracle import ORACLE_CAP, OracleResult, floyd_warshall
+from .oracle import ORACLE_CAP, certify, floyd_warshall
 
 FORMATS = ("csv", "json-lines")
 
 
 class OracleMismatchError(Exception):
-    """A trial's result disagreed with the exact oracle."""
+    """A trial's verdict failed its certificate check."""
 
 
 @dataclass
@@ -100,8 +100,11 @@ def _dist_matches_oracle(dist: list, oracle_row: list) -> bool:
 def run_trials(config: TrialConfig) -> List[TrialRecord]:
     """Execute one trial per seed, in seed order.
 
-    With ``check_oracle`` every trial is verified against the exact oracle
-    and the first mismatch raises :class:`OracleMismatchError`.  Trials are
+    With ``check_oracle`` every trial's verdict is checked by
+    :func:`~relaxbench.oracle.certify` in O(n + m): a cycle against its hops,
+    distances against feasibility and tight-edge reachability.  The first
+    failure raises :class:`OracleMismatchError`.  Cycle detection runs the
+    randomized engine, so it needs ``algorithm="randomized"``.  Trials are
     independent; records come back in seed order regardless of how they ran.
     """
     engine = ENGINES.get(config.algorithm)
@@ -109,37 +112,35 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
     if config.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {config.ordering!r}")
+    if config.detect_cycles and config.algorithm != "randomized":
+        raise ValueError("cycle detection (--detect-cycles) needs algorithm 'randomized', "
+                         f"got {config.algorithm!r}")
     g = config.graph
-    oracle: Optional[OracleResult] = None
-    if config.check_oracle:
-        oracle = floyd_warshall(g)
-        if oracle.has_reachable_negative_cycle and not config.detect_cycles:
-            raise OracleMismatchError(
-                "input has a negative cycle reachable from the source; engine distances "
-                "are undefined (rerun with --detect-cycles)"
-            )
 
     records: List[TrialRecord] = []
     for seed in config.seeds:
         start = time.perf_counter_ns()
         found_cycle = False
+        cycle = None
         if config.detect_cycles:
             state, stats, verdict = run_with_detection(g, seed, config.c)
-            found_cycle = verdict.found
+            found_cycle, cycle = verdict.found, verdict.cycle
         else:
             state, stats = engine(g, seed, config)
         wall = time.perf_counter_ns() - start
 
-        if oracle is not None:
-            if config.detect_cycles and found_cycle != oracle.has_reachable_negative_cycle:
+        flaw = certify(g, state.dist, cycle) if config.check_oracle else None
+        if flaw is not None:
+            if not config.detect_cycles and not stats.terminated_early:
                 raise OracleMismatchError(
-                    f"seed {seed}: detector said cycle={found_cycle}, oracle says "
-                    f"{oracle.has_reachable_negative_cycle}"
+                    f"seed {seed}: {config.algorithm} stopped at its iteration cap and its "
+                    f"distances fail the certificate ({flaw}); the input likely has a negative "
+                    "cycle reachable from the source, where engine distances are undefined "
+                    "(rerun with --detect-cycles)"
                 )
-            if not found_cycle and not _dist_matches_oracle(state.dist, oracle.dist[g.source]):
-                raise OracleMismatchError(
-                    f"seed {seed}: {config.algorithm} distances disagree with the oracle"
-                )
+            raise OracleMismatchError(
+                f"seed {seed}: {config.algorithm} verdict fails its certificate: {flaw}"
+            )
 
         records.append(TrialRecord(
             algorithm=config.algorithm,
@@ -246,10 +247,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     g, label = _resolve_graph(args)
-    if args.check_oracle and g.n > ORACLE_CAP:
-        raise DimacsFormatError(f"--check-oracle needs n <= {ORACLE_CAP}, graph has {g.n}")
-    if args.detect_cycles and args.algorithm != "randomized":
-        raise DimacsFormatError("--detect-cycles is only available with --algorithm randomized")
     if args.ordering is not None and args.algorithm != "yen":
         raise DimacsFormatError("--ordering is only available with --algorithm yen")
     if args.ordering == "adversarial" and (
@@ -338,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seeds", type=str, help="half-open range A:B")
     p_run.add_argument("--c", type=float, default=2.0,
                        help="confidence exponent for detection thresholds")
-    p_run.add_argument("--check-oracle", action="store_true")
+    p_run.add_argument("--check-oracle", action="store_true",
+                       help="check each trial's distances or cycle certificate in O(n + m)")
     p_run.add_argument("--detect-cycles", action="store_true")
     p_run.add_argument("--strict-count", action="store_true",
                        help="basic engine: count skipped relaxations too")

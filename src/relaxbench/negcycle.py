@@ -114,29 +114,24 @@ def _self_loop_verdict(g: Graph, state: SsspState) -> CycleVerdict:
     return CycleVerdict(False, None, state.iterations, state.relax_calls, distances=list(dist))
 
 
-def _min_weight_pairs(g: Graph) -> dict[tuple[int, int], float]:
-    pairs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        key = (u, v)
-        if key not in pairs or w < pairs[key]:
-            pairs[key] = w
-    return pairs
-
-
 def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> tuple[List[int], float]:
     # Parent pointers run against edge direction, so the graph cycle is the
     # reverse of the parent-pointer order.  Each (parent, child) hop maps to
     # the minimum-weight parallel edge, the one a relaxation would have used
-    # last.
-    pairs = _min_weight_pairs(g)
+    # last.  A pointer cycle visits each vertex once, so every hop has its
+    # own tail and one pass over the edges keyed by tail finds them all.
     cycle = list(reversed(pp_cycle))
+    succ = {a: cycle[(i + 1) % len(cycle)] for i, a in enumerate(cycle)}
+    cheapest: dict[int, float] = {}
+    for u, v, w in g.edges:
+        if succ.get(u) == v and (u not in cheapest or w < cheapest[u]):
+            cheapest[u] = w
     total = 0.0
-    for i, a in enumerate(cycle):
-        b = cycle[(i + 1) % len(cycle)]
-        w = pairs.get((a, b))
+    for a in cycle:
+        w = cheapest.get(a)
         if w is None:
             raise RuntimeError(
-                f"predecessor cycle uses the non-edge ({a}, {b}); detector state is corrupt"
+                f"predecessor cycle uses the non-edge ({a}, {succ[a]}); detector state is corrupt"
             )
         total += w
     if total >= 0:

@@ -3,9 +3,11 @@ import math
 
 import pytest
 
-from relaxbench import GeneratorSpec, random_graph, worst_case_path
+from relaxbench import GeneratorSpec, random_graph, run_randomized, worst_case_path
 from relaxbench.cli import (
     CSV_HEADER,
+    ENGINES,
+    OracleMismatchError,
     TrialConfig,
     TrialRecord,
     emit_stats,
@@ -126,6 +128,34 @@ def test_cli_detect_cycles_requires_randomized(capsys):
     rc = main(["run", "--gen", "path-worst-case", "--n", "6",
                "--algorithm", "basic", "--detect-cycles"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "yen"])
+def test_run_trials_detect_cycles_requires_randomized(algorithm):
+    config = TrialConfig(graph=worst_case_path(30), algorithm=algorithm, seeds=[0],
+                         detect_cycles=True)
+    with pytest.raises(ValueError, match="randomized"):
+        run_trials(config)
+
+
+def test_run_trials_check_oracle_rejects_wrong_distances(monkeypatch):
+    def off_by_one(g, seed, config):
+        state, stats, _ = run_randomized(g, seed)
+        state.dist[-1] += 1
+        return state, stats
+
+    monkeypatch.setitem(ENGINES, "randomized", off_by_one)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="randomized", seeds=[0],
+                         check_oracle=True)
+    with pytest.raises(OracleMismatchError, match="fails its certificate"):
+        run_trials(config)
+
+
+def test_cli_check_oracle_has_no_vertex_cap(capsys):
+    rc = main(["run", "--gen", "path-worst-case", "--n", "300", "--algorithm", "randomized",
+               "--seeds", "0:3", "--check-oracle"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_cli_verify_clean_and_planted(tmp_path, capsys):

@@ -9,16 +9,24 @@ from relaxbench import (
     Graph,
     GeneratorSpec,
     SsspState,
+    certify,
     floyd_warshall,
     iteration_threshold,
     random_graph,
     random_ordering,
     run_basic,
+    run_with_detection,
     shortest_simple_path_lengths,
     yen_iterations,
 )
 
-from helpers import as_inf, brute_force_negative_cycle, graphs, reachable_from_source
+from helpers import (
+    as_inf,
+    brute_force_negative_cycle,
+    cycle_free_graphs,
+    graphs,
+    reachable_from_source,
+)
 
 
 def test_path_distances():
@@ -151,3 +159,55 @@ def test_distances_drop_to_simple_path_level_by_threshold():
                 assert state.dist[v] <= simple[v]
         checked += 1
     assert checked == 200
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_certify_accepts_detector_verdicts_and_agrees_with_oracle(data):
+    g = data.draw(graphs(min_weight=-4, max_weight=4))
+    seed = data.draw(st.integers(0, 2**16))
+    state, _, verdict = run_with_detection(g, seed)
+    assert certify(g, state.dist, verdict.cycle) is None
+    has_cycle = floyd_warshall(g).has_reachable_negative_cycle
+    assert verdict.found == has_cycle
+    # No distance vector certifies "none" while a reachable negative cycle exists.
+    assert (certify(g, state.dist) is None) == (not has_cycle)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_certify_rejects_every_single_entry_mutation(data):
+    g, result = data.draw(cycle_free_graphs())
+    dist = [None if d == math.inf else d for d in result.dist[g.source]]
+    assert certify(g, dist) is None
+    for v, d in enumerate(dist):
+        mutants = [None, d - 1, d + 1] if d is not None else [0.0]
+        for bad in mutants:
+            forged = list(dist)
+            forged[v] = bad
+            assert certify(g, forged) is not None, (v, bad)
+    assert certify(g, dist[:-1]) is not None
+
+
+def test_certify_checks_cycle_certificates():
+    # 0 -> 1 <-> 2 with parallel 2 -> 1 edges; 3 <-> 4 is unreachable from 0.
+    g = Graph(5, ((0, 1, 1.0), (1, 2, -2.0), (2, 1, 5.0), (2, 1, 1.0),
+                  (3, 4, -1.0), (4, 3, -1.0), (0, 0, 0.0)))
+    dist = [0.0, 1.0, -1.0, None, None]
+    assert certify(g, dist, [1, 2]) is None  # the cheaper parallel edge makes it -1
+    assert certify(g, dist, [2, 1]) is None
+    assert certify(g, dist, [1, 2, 1, 2]) is None  # a closed walk twice round
+    assert "not an edge" in certify(g, dist, [0, 1, 2])  # 2 -> 0 is missing
+    assert "non-negative" in certify(g, dist, [0])  # the zero self-loop
+    assert "not reachable" in certify(g, dist, [3, 4])
+    assert certify(g, dist, []) is not None
+    assert certify(g, dist, [1, 5]) is not None
+
+
+def test_certify_rejects_none_claim_beside_negative_self_loop():
+    g = Graph(3, ((0, 1, 1.0), (1, 1, -1.0), (2, 2, -1.0)))
+    assert "tense" in certify(g, [0.0, 1.0, None])
+    assert certify(g, [0.0, 1.0, None], [1]) is None
+    assert "not reachable" in certify(g, [0.0, 1.0, None], [2])
+    # the unreached vertex 2 keeps its loop out of the "none" claim
+    assert certify(Graph(3, ((0, 1, 1.0), (2, 2, -1.0))), [0.0, 1.0, None]) is None
