@@ -13,6 +13,7 @@ order and are deterministic for identical inputs except for wall_time_ns.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from .engines import run_adaptive, run_basic, run_randomized, run_yen
 from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
 from .graph import Graph, identity_ordering, random_ordering
 from .negcycle import run_with_detection
-from .oracle import ORACLE_CAP, certify, floyd_warshall
+from .oracle import certify, floyd_warshall
 
 FORMATS = ("csv", "json-lines")
 
@@ -44,7 +45,7 @@ class TrialConfig:
     graph: Graph
     algorithm: str
     seeds: Sequence[int]
-    ordering: str = "identity"
+    ordering: Optional[str] = None
     c: float = 2.0
     check_oracle: bool = False
     detect_cycles: bool = False
@@ -79,57 +80,62 @@ ORDERINGS = {
 }
 
 # name -> (graph, seed, config) -> (state, stats): the one engine dispatch,
-# shared by ``run`` and ``verify``.
+# shared by ``run`` and ``verify``.  Detection is the randomized engine with
+# one more stopping rule; its certificate is ``stats.negative_cycle``.
 ENGINES = {
     "basic": lambda g, seed, config: run_basic(g, strict=config.strict_count),
     "adaptive": lambda g, seed, config: run_adaptive(g),
-    "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering](g, seed)),
-    "randomized": lambda g, seed, config: run_randomized(g, seed)[:2],
+    "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering or "identity"](g, seed)),
+    "randomized": lambda g, seed, config: (run_with_detection(g, seed, config.c)
+                                           if config.detect_cycles
+                                           else run_randomized(g, seed))[:2],
 }
 ALGORITHMS = tuple(ENGINES)
 
-
-def _dist_matches_oracle(dist: list, oracle_row: list) -> bool:
-    for d, expected in zip(dist, oracle_row):
-        got = math.inf if d is None else d
-        if got != expected:
-            return False
-    return True
+# flag -> (TrialConfig field, the one algorithm that reads it)
+FLAG_NEEDS = {
+    "--ordering": ("ordering", "yen"),
+    "--strict-count": ("strict_count", "basic"),
+    "--detect-cycles": ("detect_cycles", "randomized"),
+}
 
 
 def run_trials(config: TrialConfig) -> List[TrialRecord]:
     """Execute one trial per seed, in seed order.
 
+    A contradictory config raises ``ValueError`` before the first trial: an
+    unknown algorithm or ordering, a flag of ``FLAG_NEEDS`` set for another
+    algorithm, or the adversarial ordering off the path 0 -> 1 -> ... -> n-1
+    with source 0.  ``ordering=None`` is the identity for ``yen``.
+
     With ``check_oracle`` every trial's verdict is checked by
     :func:`~relaxbench.oracle.certify` in O(n + m): a cycle against its hops,
     distances against feasibility and tight-edge reachability.  The first
-    failure raises :class:`OracleMismatchError`.  Cycle detection runs the
-    randomized engine, so it needs ``algorithm="randomized"``.  Trials are
-    independent; records come back in seed order regardless of how they ran.
+    failure raises :class:`OracleMismatchError`.  Trials are independent;
+    records come back in seed order regardless of how they ran.
     """
     engine = ENGINES.get(config.algorithm)
     if engine is None:
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
-    if config.ordering not in ORDERINGS:
+    if config.ordering is not None and config.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {config.ordering!r}")
-    if config.detect_cycles and config.algorithm != "randomized":
-        raise ValueError("cycle detection (--detect-cycles) needs algorithm 'randomized', "
-                         f"got {config.algorithm!r}")
+    for flag, (field, needed) in FLAG_NEEDS.items():
+        if getattr(config, field) and config.algorithm != needed:
+            raise ValueError(f"{flag} needs algorithm {needed!r}, got {config.algorithm!r}")
     g = config.graph
+    if config.ordering == "adversarial" and (
+            g.source != 0
+            or {(u, v) for u, v, _ in g.edges} != {(i, i + 1) for i in range(g.n - 1)}):
+        raise ValueError(
+            "the adversarial ordering needs the path 0 -> 1 -> ... -> n-1 with source 0")
 
     records: List[TrialRecord] = []
     for seed in config.seeds:
         start = time.perf_counter_ns()
-        found_cycle = False
-        cycle = None
-        if config.detect_cycles:
-            state, stats, verdict = run_with_detection(g, seed, config.c)
-            found_cycle, cycle = verdict.found, verdict.cycle
-        else:
-            state, stats = engine(g, seed, config)
+        state, stats = engine(g, seed, config)
         wall = time.perf_counter_ns() - start
 
-        flaw = certify(g, state.dist, cycle) if config.check_oracle else None
+        flaw = certify(g, state.dist, stats.negative_cycle) if config.check_oracle else None
         if flaw is not None:
             if not config.detect_cycles and not stats.terminated_early:
                 raise OracleMismatchError(
@@ -151,7 +157,7 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
             relax_calls=stats.relax_calls,
             improvements=stats.improvements,
             wall_time_ns=wall,
-            negative_cycle_found=found_cycle,
+            negative_cycle_found=stats.negative_cycle is not None,
             c=config.c,
             source=config.source_label,
         ))
@@ -163,15 +169,10 @@ def emit_stats(records: Sequence[TrialRecord], fmt: str) -> str:
     if fmt == "csv":
         out = StringIO()
         out.write(CSV_HEADER + "\n")
+        writer = csv.writer(out, lineterminator="\n")
         for r in records:
-            row = []
-            for f in fields(TrialRecord):
-                value = getattr(r, f.name)
-                if isinstance(value, bool):
-                    row.append("true" if value else "false")
-                else:
-                    row.append(str(value))
-            out.write(",".join(row) + "\n")
+            row = (getattr(r, f.name) for f in fields(TrialRecord))
+            writer.writerow(("true" if v else "false") if isinstance(v, bool) else v for v in row)
         return out.getvalue()
     if fmt == "json-lines":
         return "".join(json.dumps(asdict(r)) + "\n" for r in records)
@@ -247,20 +248,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     g, label = _resolve_graph(args)
-    if args.ordering is not None and args.algorithm != "yen":
-        raise DimacsFormatError("--ordering is only available with --algorithm yen")
-    if args.ordering == "adversarial" and (
-            g.source != 0
-            or {(u, v) for u, v, _ in g.edges} != {(i, i + 1) for i in range(g.n - 1)}):
-        raise DimacsFormatError(
-            "the adversarial ordering needs the path 0 -> 1 -> ... -> n-1 with source 0")
-    if args.strict_count and args.algorithm != "basic":
-        raise DimacsFormatError("--strict-count is only available with --algorithm basic")
     config = TrialConfig(
         graph=g,
         algorithm=args.algorithm,
         seeds=_parse_seeds(args),
-        ordering=args.ordering or "identity",
+        ordering=args.ordering,
         c=args.c,
         check_oracle=args.check_oracle,
         detect_cycles=args.detect_cycles,
@@ -280,15 +272,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g, label = _resolve_graph(args)
-    if g.n > ORACLE_CAP:
-        raise DimacsFormatError(f"verify needs n <= {ORACLE_CAP}, graph has {g.n}")
     oracle = floyd_warshall(g)
     print(f"graph: n={g.n} m={g.m} ({label})")
+    _, _, verdict = run_with_detection(g, args.seed, args.c)
     failures = 0
-    cycle_found = False
     if oracle.has_reachable_negative_cycle:
-        _, _, verdict = run_with_detection(g, args.seed, args.c)
-        cycle_found = verdict.found
         ok = verdict.found
         print(f"oracle: negative cycle reachable from source")
         print(f"detector: {'ok' if ok else 'MISSED'} "
@@ -299,16 +287,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name, engine in ENGINES.items():
             # The default config: identity ordering, non-strict counting.
             state, _ = engine(g, args.seed, TrialConfig(g, name, [args.seed]))
-            ok = _dist_matches_oracle(state.dist, row)
+            ok = [math.inf if d is None else d for d in state.dist] == row
             print(f"{name}: {'ok' if ok else 'MISMATCH'}")
             failures += 0 if ok else 1
-        _, _, verdict = run_with_detection(g, args.seed, args.c)
         ok = not verdict.found
         print(f"detector: {'ok' if ok else 'FALSE POSITIVE'}")
         failures += 0 if ok else 1
     if failures:
         return 1
-    if cycle_found and args.fail_on_cycle:
+    if verdict.found and args.fail_on_cycle:
         return 3
     return 0
 

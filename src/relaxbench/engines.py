@@ -14,8 +14,9 @@ unreached tail can never participate in arithmetic.  The pass structure:
 * ``run_randomized``  run_yen under a seeded uniform random ordering.
 
 The stepwise generators (``basic_passes``, ``adaptive_iterations``,
-``yen_iterations``) drive one outer iteration per ``next()`` and are reused by
-the negative-cycle detectors and the per-iteration invariant tests.
+``yen_iterations``) drive one outer iteration per ``next()`` for the
+per-iteration invariant tests; the negative-cycle detectors reuse
+``yen_iterations``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ class SsspState:
     One run owns its state exclusively; states are never shared between runs.
     """
 
-    __slots__ = ("n", "dist", "pred", "frontier", "changed_now", "_changed_order",
+    __slots__ = ("dist", "pred", "frontier", "changed_now", "_changed_order",
                  "relax_calls", "improvements", "iterations")
 
     def __init__(self, g: Graph):
-        self.n = g.n
         self.dist: list[Optional[float]] = [None] * g.n
         self.pred: list[Optional[int]] = [None] * g.n
         self.dist[g.source] = 0.0

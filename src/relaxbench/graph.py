@@ -4,8 +4,8 @@ A graph is a flat edge list over dense integer vertex ids 0..n-1 with a
 designated source.  An Ordering assigns every vertex a rank, with the source
 pinned at rank 0.  Partitioning splits the edge list into the rank-ascending
 and rank-descending subgraphs (both acyclic by construction); self-loops go
-into a third bucket so that negative self-loops can still reach the cycle
-detector even though no pass ever relaxes them.
+into a third bucket, which no pass relaxes.  The cycle detectors find negative
+self-loops by scanning ``Graph.edges`` themselves.
 """
 
 from __future__ import annotations

@@ -145,12 +145,10 @@ def run_with_detection(
     g: Graph,
     seed: int,
     c: float = 2.0,
-    check_every_iteration: bool = False,
 ) -> tuple[SsspState, RunStats, CycleVerdict]:
     """Randomized engine with parent-graph cycle checks; any input is legal.
 
-    Checks start at ``detection_start(n, c)`` (or iteration 1 with the debug
-    flag).  A found parent cycle is mapped back to graph edges, verified
+    Checks start at ``detection_start(n, c)``.  A found parent cycle is mapped back to graph edges, verified
     strictly negative, and returned as the certificate.  If the engine
     converges instead, reached vertices are scanned for negative self-loops
     before declaring the graph cycle-free.  Never runs past
@@ -158,7 +156,7 @@ def run_with_detection(
     """
     ordering = random_ordering(g, seed)
     cap = iteration_cap(g.n)
-    start = 1 if check_every_iteration else detection_start(g.n, c)
+    start = detection_start(g.n, c)
     state = SsspState(g)
     for st in yen_iterations(g, ordering, state):
         t = st.iterations

@@ -37,15 +37,15 @@ class OracleResult:
     source: int
 
 
-def floyd_warshall(g: Graph, cap: int = ORACLE_CAP) -> OracleResult:
+def floyd_warshall(g: Graph) -> OracleResult:
     """Exact all-pairs distances by the classic triple loop.
 
     The negative-cycle flag is true iff some vertex u with a finite distance
-    from the source has dist[u][u] < 0.  Rejects graphs with more than ``cap``
+    from the source has dist[u][u] < 0.  Rejects graphs with more than ``ORACLE_CAP``
     vertices; this oracle is deliberately simple and slow.
     """
-    if g.n > cap:
-        raise ValueError(f"graph has {g.n} vertices, oracle cap is {cap}")
+    if g.n > ORACLE_CAP:
+        raise ValueError(f"graph has {g.n} vertices, oracle cap is {ORACLE_CAP}")
     n, s = g.n, g.source
     inf = math.inf
     dist = [[inf] * n for _ in range(n)]
@@ -159,16 +159,16 @@ def certify(g: Graph, dist: Sequence[Optional[float]],
     return None
 
 
-def shortest_simple_path_lengths(g: Graph, cap: int = SIMPLE_PATH_CAP) -> List[Optional[float]]:
+def shortest_simple_path_lengths(g: Graph) -> List[Optional[float]]:
     """Length of the shortest *simple* path from the source to each vertex.
 
     Brute-force enumeration of every simple path, so the graph must have at
-    most ``cap`` vertices.  The source gets 0.0 (the empty path); unreachable
+    most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0.0 (the empty path); unreachable
     vertices get ``None``.  Well-defined even when negative cycles exist,
     which is exactly why the detectors' tests need it.
     """
-    if g.n > cap:
-        raise ValueError(f"graph has {g.n} vertices, simple-path cap is {cap}")
+    if g.n > SIMPLE_PATH_CAP:
+        raise ValueError(f"graph has {g.n} vertices, simple-path cap is {SIMPLE_PATH_CAP}")
     n, s = g.n, g.source
     # Parallel edges collapse to the cheapest one; self-loops never lie on a
     # simple path.

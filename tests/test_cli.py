@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -130,11 +132,24 @@ def test_cli_detect_cycles_requires_randomized(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "yen"])
-def test_run_trials_detect_cycles_requires_randomized(algorithm):
-    config = TrialConfig(graph=worst_case_path(30), algorithm=algorithm, seeds=[0],
-                         detect_cycles=True)
-    with pytest.raises(ValueError, match="randomized"):
+# Each flag needs one algorithm, and the adversarial ordering needs the path;
+# a contradictory batch is refused before its first trial.
+@pytest.mark.parametrize("algorithm, flags, graph, match", [
+    *(pytest.param(a, {"detect_cycles": True}, worst_case_path(30), "randomized", id=a)
+      for a in ("basic", "adaptive", "yen")),
+    pytest.param("adaptive", {"strict_count": True}, worst_case_path(30), "--strict-count",
+                 id="strict_count-adaptive"),
+    pytest.param("basic", {"ordering": "random"}, worst_case_path(30), "--ordering",
+                 id="ordering-basic"),
+    pytest.param("yen", {"ordering": "adversarial"},
+                 random_graph(GeneratorSpec(kind="random-sparse", n=6, m=9)), "adversarial",
+                 id="adversarial-off-path"),
+])
+def test_run_trials_detect_cycles_requires_randomized(algorithm, flags, graph, match,
+                                                      monkeypatch):
+    monkeypatch.setitem(ENGINES, algorithm, lambda *args: pytest.fail("a trial ran"))
+    config = TrialConfig(graph=graph, algorithm=algorithm, seeds=[0], **flags)
+    with pytest.raises(ValueError, match=match):
         run_trials(config)
 
 
@@ -173,6 +188,28 @@ def test_cli_verify_clean_and_planted(tmp_path, capsys):
     rc = main(["verify", "--gen", "planted-cycle", "--n", "8", "--m", "12",
                "--cycle-length", "3", "--cycle-weight", "-2", "--fail-on-cycle"])
     assert rc == 3
+
+
+def test_cli_verify_refuses_graphs_above_the_oracle_cap(capsys):
+    assert main(["verify", "--gen", "path-worst-case", "--n", "257"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "256" in err
+
+
+def test_cli_csv_quotes_a_comma_in_the_source_label(tmp_path, capsys):
+    gr = tmp_path / "a,b.gr"
+    write_dimacs(worst_case_path(4), gr)
+    args = ["run", "--input", str(gr), "--algorithm", "basic"]
+    assert main(args) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert main([*args, "--format", "json-lines"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert header == CSV_HEADER.split(",")
+    assert record["source"].startswith("file:a,b.gr:")
+    parsed, expected = dict(zip(header, row)), {k: str(v) for k, v in record.items()}
+    expected["negative_cycle_found"] = "false"
+    parsed.pop("wall_time_ns"), expected.pop("wall_time_ns")
+    assert parsed == expected
 
 
 def test_cli_source_flag_selects_external_id(tmp_path, capsys):

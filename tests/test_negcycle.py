@@ -160,15 +160,6 @@ def test_parent_cycle_appears_whenever_distance_beats_simple_paths():
                 assert detect_cycle_in_parent_graph(st_.pred) is not None
 
 
-def test_check_every_iteration_can_only_fire_earlier():
-    g = random_graph(GeneratorSpec(kind="planted-cycle", n=12, m=24, seed=3,
-                                   cycle_length=3, cycle_weight=-1))
-    _, _, normal = run_with_detection(g, seed=1)
-    _, _, eager = run_with_detection(g, seed=1, check_every_iteration=True)
-    assert normal.found and eager.found
-    assert eager.iterations_used <= normal.iterations_used
-
-
 def test_dense_budget_formula():
     n, c = 30, 2.0
     expected = n**3 / 6 + math.sqrt(2) * n**2.5 * math.sqrt(c * math.log(n))
