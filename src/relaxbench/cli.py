@@ -8,19 +8,26 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 negative cycle detected under --fail-on-cycle.  Records are emitted in seed
 order and are deterministic for identical inputs except for wall_time_ns.
+
+A ``run`` batch runs its trials on min(seeds, usable CPUs) forked worker
+processes, where usable CPUs are the process's CPU affinity mask
+(``os.cpu_count()`` where the platform has none); ``taskset -c 0`` therefore
+runs it in this process, one trial after another.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
+import os
+import signal
 import sys
+import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, fields
-from io import StringIO
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -101,7 +108,7 @@ FLAG_NEEDS = {
 
 
 def run_trials(config: TrialConfig) -> List[TrialRecord]:
-    """Execute one trial per seed, in seed order.
+    """Execute one trial per seed; records come back in seed order.
 
     A contradictory config raises ``ValueError`` before the first trial: an
     unknown algorithm or ordering, a flag of ``FLAG_NEEDS`` set for another
@@ -111,8 +118,18 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     With ``check_oracle`` every trial's verdict is checked by
     :func:`~relaxbench.oracle.certify` in O(n + m): a cycle against its hops,
     distances against feasibility and tight-edge reachability.  The first
-    failure raises :class:`OracleMismatchError`.  Trials are independent;
-    records come back in seed order regardless of how they ran.
+    failure raises :class:`OracleMismatchError`.
+
+    Trials are independent, so the batch runs on min(len(seeds), usable CPUs)
+    worker processes forked from this one, usable CPUs being
+    ``len(os.sched_getaffinity(0))`` or, without affinity masks,
+    ``os.cpu_count()``.  Workers inherit the config, time their own trials
+    and send back each record with the warnings its trial issued; the caller
+    gets those warnings re-issued, and the exception of the first failing
+    seed raised, in seed order.  A killed worker raises ``RuntimeError``.
+    One seed, one usable CPU, a platform without ``fork`` or a process
+    already running other threads (where forking can deadlock the child)
+    runs the trials here, one after another.
     """
     engine = ENGINES.get(config.algorithm)
     if engine is None:
@@ -129,51 +146,114 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         raise ValueError(
             "the adversarial ordering needs the path 0 -> 1 -> ... -> n-1 with source 0")
 
-    records: List[TrialRecord] = []
-    for seed in config.seeds:
-        start = time.perf_counter_ns()
-        state, stats = engine(g, seed, config)
-        wall = time.perf_counter_ns() - start
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(config.seeds), cpus)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_trial(config, engine, seed) for seed in config.seeds]
+    import multiprocessing  # only a parallel batch pays for importing it
 
-        flaw = certify(g, state.dist, stats.negative_cycle) if config.check_oracle else None
-        if flaw is not None:
-            if not config.detect_cycles and not stats.terminated_early:
-                raise OracleMismatchError(
-                    f"seed {seed}: {config.algorithm} stopped at its iteration cap and its "
-                    f"distances fail the certificate ({flaw}); the input likely has a negative "
-                    "cycle reachable from the source, where engine distances are undefined "
-                    "(rerun with --detect-cycles)"
-                )
+    # Fork, so workers share the loaded graph and the engine table (lambdas,
+    # perhaps patched) without pickling them.  Worker k runs every
+    # workers-th seed from the k-th on and streams its results, so seed i's
+    # result is the next one in pipe i % workers.
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for k in range(workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_worker, daemon=True,
+                               args=(config, engine, config.seeds[k::workers], sender))
+            proc.start()
+            sender.close()  # so that a dead worker's pipe reads as end of file
+            procs.append((proc, receiver))
+        records: List[TrialRecord] = []
+        for i, seed in enumerate(config.seeds):
+            proc, receiver = procs[i % workers]
+            try:
+                outcome, caught = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"the worker process running seed {seed} exited "
+                                   f"with code {proc.exitcode}") from None
+            for message in caught:
+                warnings.warn(message)
+            if isinstance(outcome, Exception):
+                raise outcome
+            records.append(outcome)
+        return records
+    finally:
+        for proc, receiver in procs:
+            proc.terminate()  # after a failure; a worker that is done has exited
+            proc.join()
+            receiver.close()
+
+
+def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
+    """Run, time and, under ``check_oracle``, certify one seed's trial."""
+    g = config.graph
+    start = time.perf_counter_ns()
+    state, stats = engine(g, seed, config)
+    wall = time.perf_counter_ns() - start
+
+    flaw = certify(g, state.dist, stats.negative_cycle) if config.check_oracle else None
+    if flaw is not None:
+        if not config.detect_cycles and not stats.terminated_early:
             raise OracleMismatchError(
-                f"seed {seed}: {config.algorithm} verdict fails its certificate: {flaw}"
+                f"seed {seed}: {config.algorithm} stopped at its iteration cap and its "
+                f"distances fail the certificate ({flaw}); the input likely has a negative "
+                "cycle reachable from the source, where engine distances are undefined "
+                "(rerun with --detect-cycles)"
             )
+        raise OracleMismatchError(
+            f"seed {seed}: {config.algorithm} verdict fails its certificate: {flaw}"
+        )
 
-        records.append(TrialRecord(
-            algorithm=config.algorithm,
-            seed=seed,
-            n=g.n,
-            m=g.m,
-            iterations=stats.iterations,
-            relax_calls=stats.relax_calls,
-            improvements=stats.improvements,
-            wall_time_ns=wall,
-            negative_cycle_found=stats.negative_cycle is not None,
-            c=config.c,
-            source=config.source_label,
-        ))
-    return records
+    return TrialRecord(
+        algorithm=config.algorithm,
+        seed=seed,
+        n=g.n,
+        m=g.m,
+        iterations=stats.iterations,
+        relax_calls=stats.relax_calls,
+        improvements=stats.improvements,
+        wall_time_ns=wall,
+        negative_cycle_found=stats.negative_cycle is not None,
+        c=config.c,
+        source=config.source_label,
+    )
+
+
+def _run_worker(config: TrialConfig, engine, seeds: Sequence[int], sender) -> None:
+    """Forked worker: send (record or the exception it raised, its warnings) per seed."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which ends us
+    for seed in seeds:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the parent's filters decide
+            try:
+                outcome = _trial(config, engine, seed)
+            except Exception as exc:  # raised by the parent, after the warnings
+                outcome = exc
+        sender.send((outcome, [w.message for w in caught]))
+        if isinstance(outcome, Exception):
+            break
+
+
+def _csv_field(value) -> str:
+    # Quote as Python 3.13's csv writer does; before 3.13 it left a carriage
+    # return unquoted, so a label holding one did not read back.
+    text = ("true" if value else "false") if isinstance(value, bool) else str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit_stats(records: Sequence[TrialRecord], fmt: str) -> str:
     """Serialize records as CSV (fixed header) or JSON lines (same field names)."""
     if fmt == "csv":
-        out = StringIO()
-        out.write(CSV_HEADER + "\n")
-        writer = csv.writer(out, lineterminator="\n")
-        for r in records:
-            row = (getattr(r, f.name) for f in fields(TrialRecord))
-            writer.writerow(("true" if v else "false") if isinstance(v, bool) else v for v in row)
-        return out.getvalue()
+        rows = (",".join(_csv_field(getattr(r, f.name)) for f in fields(TrialRecord))
+                for r in records)
+        return "".join(line + "\n" for line in (CSV_HEADER, *rows))
     if fmt == "json-lines":
         return "".join(json.dumps(asdict(r)) + "\n" for r in records)
     raise ValueError(f"unknown format {fmt!r}")

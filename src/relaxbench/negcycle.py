@@ -148,11 +148,11 @@ def run_with_detection(
 ) -> tuple[SsspState, RunStats, CycleVerdict]:
     """Randomized engine with parent-graph cycle checks; any input is legal.
 
-    Checks start at ``detection_start(n, c)``.  A found parent cycle is mapped back to graph edges, verified
-    strictly negative, and returned as the certificate.  If the engine
-    converges instead, reached vertices are scanned for negative self-loops
-    before declaring the graph cycle-free.  Never runs past
-    ``iteration_cap(n)`` iterations.
+    Checks start at ``detection_start(n, c)``.  A found parent cycle is
+    mapped back to graph edges, verified strictly negative, and returned as
+    the certificate.  If the engine converges instead, reached vertices are
+    scanned for negative self-loops before declaring the graph cycle-free.
+    Never runs past ``iteration_cap(n)`` iterations.
     """
     ordering = random_ordering(g, seed)
     cap = iteration_cap(g.n)

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import signal
+import time
+import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -196,20 +201,39 @@ def test_cli_verify_refuses_graphs_above_the_oracle_cap(capsys):
     assert out == "" and "256" in err
 
 
-def test_cli_csv_quotes_a_comma_in_the_source_label(tmp_path, capsys):
-    gr = tmp_path / "a,b.gr"
+def _csv_round_trip(tmp_path, capsys, name):
+    gr = tmp_path / name
     write_dimacs(worst_case_path(4), gr)
     args = ["run", "--input", str(gr), "--algorithm", "basic"]
     assert main(args) == 0
-    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
     assert main([*args, "--format", "json-lines"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert header == CSV_HEADER.split(",")
-    assert record["source"].startswith("file:a,b.gr:")
+    assert record["source"].startswith(f"file:{name}:")
     parsed, expected = dict(zip(header, row)), {k: str(v) for k, v in record.items()}
     expected["negative_cycle_found"] = "false"
     parsed.pop("wall_time_ns"), expected.pop("wall_time_ns")
     assert parsed == expected
+
+
+def test_cli_csv_quotes_a_comma_in_the_source_label(tmp_path, capsys):
+    _csv_round_trip(tmp_path, capsys, "a,b.gr")
+
+
+def test_cli_csv_quotes_a_carriage_return_in_the_source_label(tmp_path, capsys):
+    # Before Python 3.13 the stdlib csv writer left this field unquoted.
+    _csv_round_trip(tmp_path, capsys, "cr\rx.gr")
+
+
+@pytest.mark.parametrize("label", ["gen:plain", "a,b", 'say "hi"', "two\nlines", ""])
+def test_emit_csv_quotes_like_the_csv_writer(label):
+    record = _record(source=label, c=0.5)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        ("true" if v else "false") if isinstance(v, bool) else v
+        for v in (getattr(record, name) for name in CSV_HEADER.split(",")))
+    assert emit_stats([record], "csv") == CSV_HEADER + "\n" + out.getvalue()
 
 
 def test_cli_source_flag_selects_external_id(tmp_path, capsys):
@@ -310,3 +334,88 @@ def test_cli_wall_time_is_only_nondeterminism(tmp_path):
         a, b = json.loads(line1), json.loads(line2)
         a.pop("wall_time_ns"), b.pop("wall_time_ns")
         assert a == b
+
+
+def _masked(records):
+    return [replace(r, wall_time_ns=0) for r in records]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Make a batch run on two forked workers, whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("config", [
+    TrialConfig(graph=random_graph(GeneratorSpec(kind="planted-cycle", n=30, m=90, seed=2,
+                                                 cycle_length=4, cycle_weight=-1)),
+                algorithm="randomized", seeds=list(range(6)), detect_cycles=True,
+                check_oracle=True),
+    TrialConfig(graph=worst_case_path(100), algorithm="randomized", seeds=list(range(6))),
+], ids=["planted-detect", "path"])
+def test_run_trials_batch_equals_single_seed_batches(config, two_cpus):
+    batch = run_trials(config)
+    singles = [r for seed in config.seeds for r in run_trials(replace(config, seeds=[seed]))]
+    assert [r.seed for r in batch] == list(config.seeds)
+    assert _masked(batch) == _masked(singles)
+    assert all(r.wall_time_ns > 0 for r in batch)
+
+
+def test_run_trials_raises_for_the_first_failing_seed(monkeypatch, two_cpus):
+    def wrong_from_seed_1(g, seed, config):
+        state, stats, _ = run_randomized(g, seed)
+        if seed == 1:
+            time.sleep(0.2)  # later seeds fail first when trials run in parallel
+        if seed >= 1:
+            state.dist[-1] += 1
+        return state, stats
+
+    monkeypatch.setitem(ENGINES, "randomized", wrong_from_seed_1)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="randomized", seeds=[0, 1, 2, 3],
+                         check_oracle=True)
+    with pytest.raises(OracleMismatchError, match="^seed 1: "):
+        run_trials(config)
+
+
+def test_run_trials_reissues_worker_warnings_in_the_caller(two_cpus):
+    g = random_graph(GeneratorSpec(kind="planted-cycle", n=20, m=60, seed=1,
+                                   cycle_length=3, cycle_weight=-1))
+    with pytest.warns(RuntimeWarning, match="iteration cap 21 hit") as caught:
+        records = run_trials(TrialConfig(graph=g, algorithm="yen", seeds=[0, 1]))
+    assert [r.seed for r in records] == [0, 1]
+    assert len([w for w in caught if w.category is RuntimeWarning]) == 2
+
+
+@pytest.mark.parametrize("cpus, in_process", [({0}, True), ({0, 1}, False)])
+def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, in_process):
+    # Each trial warns with the id of the process that ran it.
+    basic = ENGINES["basic"]
+
+    def report_pid(g, seed, config):
+        warnings.warn(f"pid {os.getpid()}")
+        return basic(g, seed, config)
+
+    monkeypatch.setitem(ENGINES, "basic", report_pid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = run_trials(TrialConfig(graph=worst_case_path(5), algorithm="basic",
+                                         seeds=[0, 1, 2, 3]))
+    assert [r.seed for r in records] == [0, 1, 2, 3]
+    pids = {str(w.message) for w in caught}
+    assert (pids == {f"pid {os.getpid()}"}) == in_process
+    assert len(caught) == 4
+
+
+def test_run_trials_reports_a_killed_worker(monkeypatch, two_cpus):
+    parent, basic = os.getpid(), ENGINES["basic"]
+
+    def killed_at_seed_1(g, seed, config):
+        if seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return basic(g, seed, config)
+
+    monkeypatch.setitem(ENGINES, "basic", killed_at_seed_1)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
+    with pytest.raises(RuntimeError, match="seed 1 exited with code -9"):
+        run_trials(config)
