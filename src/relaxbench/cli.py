@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 negative cycle detected under --fail-on-cycle.  Records are emitted in seed
 order and are deterministic for identical inputs except for wall_time_ns.
 
-A ``run`` batch runs its trials on min(seeds, usable CPUs) forked worker
-processes, where usable CPUs are the process's CPU affinity mask
-(``os.cpu_count()`` where the platform has none); ``taskset -c 0`` therefore
-runs it in this process, one trial after another.
+A ``run`` batch runs its trials on min(seeds, usable CPUs, seeds * m // 16384)
+processes, this one and workers forked from it, where usable CPUs are the
+process's CPU affinity mask (``os.cpu_count()`` where the platform has none)
+and seeds * m counts edge-trials; ``taskset -c 0`` therefore runs it here,
+one trial after another.
 """
 
 from __future__ import annotations
@@ -120,16 +121,13 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     distances against feasibility and tight-edge reachability.  The first
     failure raises :class:`OracleMismatchError`.
 
-    Trials are independent, so the batch runs on min(len(seeds), usable CPUs)
-    worker processes forked from this one, usable CPUs being
-    ``len(os.sched_getaffinity(0))`` or, without affinity masks,
-    ``os.cpu_count()``.  Workers inherit the config, time their own trials
-    and send back each record with the warnings its trial issued; the caller
-    gets those warnings re-issued, and the exception of the first failing
-    seed raised, in seed order.  A killed worker raises ``RuntimeError``.
-    One seed, one usable CPU, a platform without ``fork`` or a process
-    already running other threads (where forking can deadlock the child)
-    runs the trials here, one after another.
+    Trials are independent, so a batch large enough to repay forking runs on
+    :func:`_process_count` processes, this one and workers forked from it,
+    each taking every P-th seed.  Each process times its own trials.  This
+    one re-issues the workers' warnings, and raises the exception of the
+    first failing seed, in seed order, so a caller sees what a sequential
+    batch shows; a worker's exception has its traceback attached as the
+    ``__cause__``.  A killed worker raises ``RuntimeError``.
     """
     engine = ENGINES.get(config.algorithm)
     if engine is None:
@@ -146,47 +144,75 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         raise ValueError(
             "the adversarial ordering needs the path 0 -> 1 -> ... -> n-1 with source 0")
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(config.seeds), cpus)
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    processes = _process_count(config)
+    if processes == 1:
         return [_trial(config, engine, seed) for seed in config.seeds]
-    import multiprocessing  # only a parallel batch pays for importing it
+    import pickle  # only a parallel batch pays for importing it
 
     # Fork, so workers share the loaded graph and the engine table (lambdas,
-    # perhaps patched) without pickling them.  Worker k runs every
-    # workers-th seed from the k-th on and streams its results, so seed i's
-    # result is the next one in pipe i % workers.
-    ctx = multiprocessing.get_context("fork")
-    procs = []
+    # perhaps patched) without pickling them.  Process k runs every
+    # processes-th seed from the k-th on, this one being process 0, and each
+    # worker streams its results, so seed i's result is the next one from
+    # process i % processes.
+    sys.stdout.flush()  # or a worker could write what is buffered again
+    sys.stderr.flush()
+    workers: List[tuple] = []
     try:
-        for k in range(workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_worker, daemon=True,
-                               args=(config, engine, config.seeds[k::workers], sender))
-            proc.start()
-            sender.close()  # so that a dead worker's pipe reads as end of file
-            procs.append((proc, receiver))
+        for k in range(1, processes):
+            workers.append(_fork_worker(config, engine, config.seeds[k::processes]))
         records: List[TrialRecord] = []
         for i, seed in enumerate(config.seeds):
-            proc, receiver = procs[i % workers]
+            if i % processes == 0:  # ours: its warnings and exception come in seed order
+                records.append(_trial(config, engine, seed))
+                continue
+            pid, reader = workers[i % processes - 1]
             try:
-                outcome, caught = receiver.recv()
-            except EOFError:
-                proc.join()
+                outcome, caught, remote = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                workers.remove((pid, reader))
+                reader.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise RuntimeError(f"the worker process running seed {seed} exited "
-                                   f"with code {proc.exitcode}") from None
-            for message in caught:
-                warnings.warn(message)
-            if isinstance(outcome, Exception):
+                                   f"with code {code}") from None
+            for message, filename, lineno in caught:
+                _reissue(message, filename, lineno)
+            if remote is not None:
+                outcome.__cause__ = _WorkerTraceback(remote)
                 raise outcome
             records.append(outcome)
         return records
     finally:
-        for proc, receiver in procs:
-            proc.terminate()  # after a failure; a worker that is done has exited
-            proc.join()
-            receiver.close()
+        for pid, reader in workers:
+            os.kill(pid, signal.SIGKILL)  # after a failure; a worker that is done has exited
+            os.waitpid(pid, 0)
+            reader.close()
+
+
+# Edge-trials (one trial over one edge) each process of a batch must be given.
+# Forking a worker costs about 2 ms and the cheapest trial measured about
+# 210 ns per edge (adaptive on a sparse graph, much of it unreachable), so a
+# worker with fewer could cost more than it saves.
+PARALLEL_MIN_EDGE_TRIALS = 16_384
+
+
+def _process_count(config: TrialConfig) -> int:
+    """How many processes run a batch, this one included.
+
+    It is min(len(seeds), usable CPUs, len(seeds) * m // PARALLEL_MIN_EDGE_TRIALS),
+    and at least 1.  Usable CPUs are ``len(os.sched_getaffinity(0))``, or
+    ``os.cpu_count()`` where there are no affinity masks, so ``taskset -c 0``
+    gives 1.  A platform without ``fork``, a process running other threads
+    (where a forked child can deadlock) or one that is itself a
+    ``multiprocessing`` worker (whose parent already spreads the work) gets 1.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or (mp is not None and mp.parent_process() is not None)):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    work = len(config.seeds) * config.graph.m
+    return max(1, min(len(config.seeds), cpus, work // PARALLEL_MIN_EDGE_TRIALS))
 
 
 def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
@@ -224,19 +250,64 @@ def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
     )
 
 
-def _run_worker(config: TrialConfig, engine, seeds: Sequence[int], sender) -> None:
-    """Forked worker: send (record or the exception it raised, its warnings) per seed."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which ends us
-    for seed in seeds:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # the parent's filters decide
-            try:
-                outcome = _trial(config, engine, seed)
-            except Exception as exc:  # raised by the parent, after the warnings
-                outcome = exc
-        sender.send((outcome, [w.message for w in caught]))
-        if isinstance(outcome, Exception):
-            break
+def _reissue(message: Warning, filename: str, lineno: int) -> None:
+    """Issue a worker's warning as if its trial had run here.
+
+    Same text, category and place, under this process's filters and the
+    registry of the module at that place, so a ``default`` filter still
+    shows a warning once however many processes issued it.
+    """
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, type(message), filename, lineno,
+                           module=getattr(module, "__name__", None), registry=registry)
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _fork_worker(config: TrialConfig, engine, seeds: Sequence[int]) -> tuple:
+    """Fork a worker that runs ``seeds``; return its pid and the pipe it writes.
+
+    The worker pickles (record or exception, warnings as (message, filename,
+    lineno), traceback text or None) per seed, stops after the first
+    exception, and exits.
+    """
+    import pickle
+    import traceback
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker; it never returns
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which ends us
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                for seed in seeds:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")  # the parent's filters decide
+                        try:
+                            outcome, remote = _trial(config, engine, seed), None
+                        except Exception as exc:
+                            outcome, remote = exc, "".join(traceback.format_exception(exc))
+                    caught = [(w.message, w.filename, w.lineno) for w in caught]
+                    pickle.dump((outcome, caught, remote), out)
+                    out.flush()
+                    if remote is not None:
+                        break
+            code = 0
+        except BaseException:  # reported here; the exit code tells the parent
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write_fd)  # so that a dead worker's pipe reads as end of file
+    return pid, os.fdopen(read_fd, "rb")
 
 
 def _csv_field(value) -> str:

@@ -2,15 +2,16 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import signal
-import time
+import threading
 import warnings
 from dataclasses import replace
 
 import pytest
 
-from relaxbench import GeneratorSpec, random_graph, run_randomized, worst_case_path
+from relaxbench import GeneratorSpec, cli, random_graph, run_randomized, worst_case_path
 from relaxbench.cli import (
     CSV_HEADER,
     ENGINES,
@@ -342,8 +343,9 @@ def _masked(records):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Make a batch run on two forked workers, whatever the host's CPU count."""
+    """Make a batch of two or more seeds fork, whatever the host's CPU count and its size."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "PARALLEL_MIN_EDGE_TRIALS", 1)
 
 
 @pytest.mark.parametrize("config", [
@@ -362,10 +364,9 @@ def test_run_trials_batch_equals_single_seed_batches(config, two_cpus):
 
 
 def test_run_trials_raises_for_the_first_failing_seed(monkeypatch, two_cpus):
+    # Seeds 0 and 2 run in this process, 1 and 3 in the worker.
     def wrong_from_seed_1(g, seed, config):
         state, stats, _ = run_randomized(g, seed)
-        if seed == 1:
-            time.sleep(0.2)  # later seeds fail first when trials run in parallel
         if seed >= 1:
             state.dist[-1] += 1
         return state, stats
@@ -373,21 +374,46 @@ def test_run_trials_raises_for_the_first_failing_seed(monkeypatch, two_cpus):
     monkeypatch.setitem(ENGINES, "randomized", wrong_from_seed_1)
     config = TrialConfig(graph=worst_case_path(5), algorithm="randomized", seeds=[0, 1, 2, 3],
                          check_oracle=True)
-    with pytest.raises(OracleMismatchError, match="^seed 1: "):
+    with pytest.raises(OracleMismatchError, match="^seed 1: ") as excinfo:
         run_trials(config)
+    worker_traceback = str(excinfo.value.__cause__)
+    assert "in _trial" in worker_traceback and "OracleMismatchError: seed 1: " in worker_traceback
 
 
 def test_run_trials_reissues_worker_warnings_in_the_caller(two_cpus):
     g = random_graph(GeneratorSpec(kind="planted-cycle", n=20, m=60, seed=1,
                                    cycle_length=3, cycle_weight=-1))
+    config = TrialConfig(graph=g, algorithm="yen", seeds=[0, 1])
     with pytest.warns(RuntimeWarning, match="iteration cap 21 hit") as caught:
-        records = run_trials(TrialConfig(graph=g, algorithm="yen", seeds=[0, 1]))
+        records = run_trials(config)
     assert [r.seed for r in records] == [0, 1]
-    assert len([w for w in caught if w.category is RuntimeWarning]) == 2
+    caught = [(w.category, w.filename, w.lineno) for w in caught]
+    assert len(caught) == 2 and caught[0] == caught[1]  # the worker's names the same place
+    # Under the default filter a batch shows it once, as one process would.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run_trials(config)
+    assert len(caught) == 1
 
 
-@pytest.mark.parametrize("cpus, in_process", [({0}, True), ({0, 1}, False)])
-def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, in_process):
+def _batch_pids(config):
+    """Run a batch whose trials warn with their pid; return the caller's pid and theirs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = run_trials(config)
+    assert [r.seed for r in records] == list(config.seeds)
+    assert len(caught) == len(config.seeds)
+    return os.getpid(), {str(w.message) for w in caught}
+
+
+@pytest.mark.parametrize("cpus, setting, in_process", [
+    ({0}, "", True),
+    ({0, 1}, "", False),
+    ({0, 1}, "small batch", True),
+    ({0, 1}, "thread running", True),
+    ({0, 1}, "multiprocessing worker", True),
+], ids=["one-cpu", "two-cpus", "small-batch", "thread-running", "multiprocessing-worker"])
+def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, setting, in_process):
     # Each trial warns with the id of the process that ran it.
     basic = ENGINES["basic"]
 
@@ -397,14 +423,24 @@ def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, in_process):
 
     monkeypatch.setitem(ENGINES, "basic", report_pid)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = run_trials(TrialConfig(graph=worst_case_path(5), algorithm="basic",
-                                         seeds=[0, 1, 2, 3]))
-    assert [r.seed for r in records] == [0, 1, 2, 3]
-    pids = {str(w.message) for w in caught}
-    assert (pids == {f"pid {os.getpid()}"}) == in_process
-    assert len(caught) == 4
+    if setting != "small batch":  # 4 seeds of a 4-edge path
+        monkeypatch.setattr(cli, "PARALLEL_MIN_EDGE_TRIALS", 1)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
+    if setting == "thread running":
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            caller, pids = _batch_pids(config)
+        finally:
+            stop.set()
+            thread.join()
+    elif setting == "multiprocessing worker":  # daemonic, and its parent spreads the work
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            caller, pids = pool.apply_async(_batch_pids, (config,)).get(timeout=60)
+    else:
+        caller, pids = _batch_pids(config)
+    assert (pids == {f"pid {caller}"}) == in_process
 
 
 def test_run_trials_reports_a_killed_worker(monkeypatch, two_cpus):
