@@ -23,7 +23,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source`` is the 1-based external id of the source.
 
     Distinct diagnostics: missing problem line, arc-count mismatch, vertex id
-    out of range, non-integer weight.
+    out of range, non-integer weight, weight too large for a float.
     """
     n = m = None
     edges: list[tuple[int, int, float]] = []
@@ -52,12 +52,14 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
                 try:
-                    w = int(parts[3])
+                    w = float(int(parts[3]))
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
+                except OverflowError:
+                    raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
                 if not 1 <= u <= n or not 1 <= v <= n:
                     raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")
-                edges.append((u - 1, v - 1, float(w)))
+                edges.append((u - 1, v - 1, w))
             else:
                 raise DimacsFormatError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

@@ -1,6 +1,9 @@
 """The four shortest-path engines built on one relaxation rule.
 
-``SsspState.relax`` is the rule; the Yen pass kernel inlines it.
+``SsspState.relax`` is the rule; the Yen pass kernel, ``_drain_pass``,
+inlines it.  The kernel takes a pass's active vertices in rank order from a
+heap when the pass starts narrow, or from a flag array walked with
+``bytearray.find`` when it starts with more than n / WIDE_PASS_DIVISOR.
 
 All engines maintain per-vertex tentative distances and predecessors and count
 every relaxation exactly.  ``Unreached`` is represented by ``None`` so that an
@@ -27,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, Ordering, random_ordering
+from .graph import Edge, Graph, Ordering, random_ordering
 
 
 class SsspState:
@@ -148,31 +151,58 @@ def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator
         yield state
 
 
-def _drain_pass(heap: list[int], vertex_at: Sequence[int], adj: list[list[tuple[int, float]]],
+# A pass whose starting keys number more than n / WIDE_PASS_DIVISOR walks a
+# flag array instead of a heap; by measurement, any divisor from 8 to 256 ran
+# sparse-2000 equally fast, and 1024 sent path-2000's narrow passes to the
+# scan at a loss.
+WIDE_PASS_DIVISOR = 64
+
+
+def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]],
                 key: list[Optional[int]], dist: list[Optional[float]], pred: list[Optional[int]],
                 changed_now: bytearray, changed_order: list[int]) -> tuple[int, int]:
-    """Relax the out-edges of every vertex on ``heap`` in ascending key order.
+    """Relax the out-edges of every vertex keyed in ``keys``, once each, in ascending key order.
 
-    ``heap`` holds keys; ``vertex_at[k]`` is the vertex with key k, and
-    ``key[v]`` is v's key, or None when v has no out-edges in ``adj``.  A
-    vertex whose ``changed_now`` flag flips is pushed; every edge of ``adj``
-    leads to a larger key, so a pushed key is never behind the current one
-    and duplicates pop next to each other.  The body is ``SsspState.relax``
-    inlined.  Returns (relax calls, improvements).
+    ``vertex_at[k]`` is the vertex with key k, and ``key[v]`` is v's key, or
+    None when v has no out-edges in ``adj``.  A vertex whose ``changed_now``
+    flag flips joins the work set; every edge of ``adj`` leads to a larger
+    key, so it never joins behind the current key.  The body is
+    ``SsspState.relax`` inlined.  Returns (relax calls, improvements).
+
+    The work set takes one of two forms, picked from the starting size.  A
+    narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
+    duplicate keys pop next to each other and are skipped: its cost is the
+    active out-edges plus O(log n) per activation.  A wide pass sets flags in
+    a ``bytearray`` of n and walks it with ``find``: its cost is the active
+    out-edges plus a byte scan of n, which is at most WIDE_PASS_DIVISOR bytes
+    per starting key.  Both relax the same vertices in the same order.
     """
-    heapify(heap)
+    flags = None
+    if len(keys) * WIDE_PASS_DIVISOR > len(vertex_at):
+        flags = bytearray(len(vertex_at))
+        for k in keys:
+            flags[k] = 1
+    else:
+        heapify(keys)
     calls = imps = 0
-    last = -1
-    while heap:
-        k = heappop(heap)
-        if k == last:
-            continue
-        last = k
+    k = last = -1
+    while True:
+        if flags is None:
+            if not keys:
+                break
+            k = heappop(keys)
+            if k == last:
+                continue
+            last = k
+        else:
+            k = flags.find(1, k + 1)
+            if k < 0:
+                break
         u = vertex_at[k]
         du = dist[u]
         edges = adj[u]
         calls += len(edges)
-        for v, w in edges:
+        for _, v, w in edges:
             alt = du + w
             dv = dist[v]
             if dv is None or dv > alt:
@@ -184,7 +214,10 @@ def _drain_pass(heap: list[int], vertex_at: Sequence[int], adj: list[list[tuple[
                     changed_order.append(v)
                     kv = key[v]
                     if kv is not None:
-                        heappush(heap, kv)
+                        if flags is None:
+                            heappush(keys, kv)
+                        else:
+                            flags[kv] = 1
     return calls, imps
 
 
@@ -198,27 +231,33 @@ def yen_iterations(g: Graph, ordering: Ordering,
     already changed earlier in the same iteration, so the descending pass sees
     the ascending pass's updates.  Self-loops are relaxed by neither pass.
 
-    Each pass drains a rank-keyed heap of exactly those vertices, so an
-    iteration costs the active vertices' out-edges plus O(log n) per
-    activated vertex, not O(n).  The relaxation sequence, and therefore
+    Each pass visits exactly those vertices, in rank order, through
+    ``_drain_pass``; a pass with none is skipped.  A pass that starts with
+    at most n / WIDE_PASS_DIVISOR of them drains a rank-keyed heap, at
+    O(log n) per activated vertex; a wider one walks a flag array of n,
+    which costs at most WIDE_PASS_DIVISOR bytes per starting vertex.  So an
+    iteration costs the active vertices' out-edges plus work proportional
+    to them, not a scan of all n.  The relaxation sequence, and therefore
     ``dist``, ``pred`` and every counter, is that of a rank-order scan
-    calling ``SsspState.relax``.
+    calling ``SsspState.relax``, whichever mode a pass takes.
     """
     ordering.validate_for(g)
     if state is None:
         state = SsspState(g)
     n = g.n
     rank = ordering.rank
-    # One pass in input order keeps each tail's edges in input order.
-    up_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    down_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in g.edges:
+    # One pass in input order keeps each tail's edges in input order; the
+    # lists share the graph's own edge tuples.
+    up_adj: list[list[Edge]] = [[] for _ in range(n)]
+    down_adj: list[list[Edge]] = [[] for _ in range(n)]
+    for e in g.edges:
+        u, v, _ = e
         ru, rv = rank[u], rank[v]
         if ru < rv:
-            up_adj[u].append((v, w))
+            up_adj[u].append(e)
         elif ru > rv:
-            down_adj[u].append((v, w))
-    # The descending pass keys vertex v by n-1-rank[v], so both heaps pop
+            down_adj[u].append(e)
+    # The descending pass keys vertex v by n-1-rank[v], so both passes visit
     # their smallest key first.
     up_key = [rank[v] if up_adj[v] else None for v in range(n)]
     down_key = [n - 1 - rank[v] if down_adj[v] else None for v in range(n)]
@@ -230,14 +269,18 @@ def yen_iterations(g: Graph, ordering: Ordering,
     while state.frontier:
         state.begin_iteration()
         frontier = state.frontier
-        heap = [k for u in frontier if (k := up_key[u]) is not None]
-        calls, imps = _drain_pass(heap, up_vertex, up_adj, up_key,
-                                  dist, pred, changed_now, changed_order)
-        heap = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
-        down_calls, down_imps = _drain_pass(heap, down_vertex, down_adj, down_key,
-                                            dist, pred, changed_now, changed_order)
-        state.relax_calls += calls + down_calls
-        state.improvements += imps + down_imps
+        keys = [k for u in frontier if (k := up_key[u]) is not None]
+        if keys:
+            calls, imps = _drain_pass(keys, up_vertex, up_adj, up_key,
+                                      dist, pred, changed_now, changed_order)
+            state.relax_calls += calls
+            state.improvements += imps
+        keys = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
+        if keys:
+            calls, imps = _drain_pass(keys, down_vertex, down_adj, down_key,
+                                      dist, pred, changed_now, changed_order)
+            state.relax_calls += calls
+            state.improvements += imps
         state.end_iteration()
         yield state
 

@@ -39,7 +39,11 @@ class Graph:
         canon = []
         for e in self.edges:
             u, v, w = e
-            u, v, w = int(u), int(v), float(w)
+            u, v = int(u), int(v)
+            try:
+                w = float(w)
+            except OverflowError:
+                raise ValueError(f"edge ({u}, {v}) has a weight too large for a float") from None
             if not 0 <= u < self.n or not 0 <= v < self.n:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
             if not math.isfinite(w):
@@ -142,15 +146,6 @@ def identity_ordering(g: Graph) -> Ordering:
     return Ordering(tuple(rank))
 
 
-def _randbelow(getrandbits, k: int) -> int:
-    # Unbiased uniform draw from [0, k) by rejection on the minimal bit width.
-    bits = k.bit_length()
-    r = getrandbits(bits)
-    while r >= k:
-        r = getrandbits(bits)
-    return r
-
-
 def random_ordering(g: Graph, seed: int) -> Ordering:
     """Seeded uniform ordering with the source pinned at rank 0.
 
@@ -166,7 +161,11 @@ def random_ordering(g: Graph, seed: int) -> Ordering:
     getrandbits = random.Random(seed).getrandbits
     others = [v for v in range(g.n) if v != g.source]
     for i in range(len(others) - 1, 0, -1):
-        j = _randbelow(getrandbits, i + 1)
+        # Unbiased uniform draw from [0, i] by rejection on the minimal bit width.
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         others[i], others[j] = others[j], others[i]
     rank = [0] * g.n
     for pos, v in enumerate(others, start=1):

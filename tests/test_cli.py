@@ -112,6 +112,13 @@ def test_cli_malformed_file_exits_two(tmp_path, capsys):
     assert "arc count mismatch" in capsys.readouterr().err
 
 
+def test_cli_weight_too_large_for_a_float_exits_two(tmp_path, capsys):
+    bad = tmp_path / "big.gr"
+    bad.write_text(f"p sp 2 1\na 1 2 {10**400}\n")
+    assert main(["run", "--input", str(bad), "--algorithm", "basic"]) == 2
+    assert "line 2: weight too large for a float" in capsys.readouterr().err
+
+
 def test_cli_negative_cycle_paths(tmp_path, capsys):
     args = ["--gen", "planted-cycle", "--n", "8", "--m", "12",
             "--cycle-length", "3", "--cycle-weight", "-2"]

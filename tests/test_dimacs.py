@@ -55,6 +55,11 @@ def test_non_integer_weight(tmp_path):
         _load(tmp_path, "p sp 2 1\na 1 2 1.5\n")
 
 
+def test_weight_too_large_for_a_float(tmp_path):
+    with pytest.raises(DimacsFormatError, match="line 3: weight too large for a float"):
+        _load(tmp_path, f"p sp 2 2\na 1 2 1\na 2 1 {10**400}\n")
+
+
 def test_unrecognized_and_duplicate_lines(tmp_path):
     with pytest.raises(DimacsFormatError, match="unrecognized"):
         _load(tmp_path, "p sp 2 1\nq what\na 1 2 5\n")

@@ -3,9 +3,10 @@ import statistics
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from relaxbench import engines
 from relaxbench import (
     GeneratorSpec,
     Graph,
@@ -152,27 +153,61 @@ def assert_kernel_matches_guard_scan(g, ordering):
             == _yen_steps(guard_scan_yen_iterations(g, ordering), g))
 
 
+@pytest.fixture
+def each_work_set_mode(monkeypatch):
+    """Iterate twice: every non-empty Yen pass drains a heap, then every one scans flags.
+
+    At the real threshold, n / WIDE_PASS_DIVISOR, every non-empty pass of a
+    graph with fewer than WIDE_PASS_DIVISOR vertices would scan flags.
+    """
+    def modes():
+        for divisor in (0, 1 << 62):
+            monkeypatch.setattr(engines, "WIDE_PASS_DIVISOR", divisor)
+            yield
+    return modes
+
+
 @given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_yen_kernel_matches_guard_scan_reference(data):
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_yen_kernel_matches_guard_scan_reference(data, each_work_set_mode):
     g = data.draw(graphs(max_n=8, max_edges=24))
-    assert_kernel_matches_guard_scan(g, data.draw(orderings_for(g)))
-
-
-@given(g=graphs(max_n=5))
-@settings(max_examples=60, deadline=None)
-def test_yen_kernel_matches_guard_scan_on_every_ordering(g):
-    for ordering in all_orderings(g):
+    ordering = data.draw(orderings_for(g))
+    for _ in each_work_set_mode():
         assert_kernel_matches_guard_scan(g, ordering)
 
 
+@given(g=graphs(max_n=5))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_yen_kernel_matches_guard_scan_on_every_ordering(g, each_work_set_mode):
+    for _ in each_work_set_mode():
+        for ordering in all_orderings(g):
+            assert_kernel_matches_guard_scan(g, ordering)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_yen_kernel_matches_guard_scan_on_larger_graphs(seed):
+def test_yen_kernel_matches_guard_scan_on_larger_graphs(seed, each_work_set_mode):
     path = worst_case_path(60)
-    assert_kernel_matches_guard_scan(path, random_ordering(path, seed))
     sparse = random_graph(GeneratorSpec(kind="random-sparse", n=40, m=160, weight_min=-2,
                                         weight_max=9, seed=seed, ensure_reachable=True))
-    assert_kernel_matches_guard_scan(sparse, random_ordering(sparse, seed))
+    for _ in each_work_set_mode():
+        assert_kernel_matches_guard_scan(path, random_ordering(path, seed))
+        assert_kernel_matches_guard_scan(sparse, random_ordering(sparse, seed))
+
+
+def test_yen_kernel_matches_guard_scan_across_the_wide_pass_threshold():
+    # At the real threshold one run takes both work-set modes: an iteration
+    # entered with at most n / WIDE_PASS_DIVISOR frontier vertices starts
+    # its ascending pass with that many keys at most (heap), and one entered
+    # with several times more starts a pass wide (flag scan).
+    g = random_graph(GeneratorSpec(kind="random-sparse", n=700, m=3500, weight_min=0,
+                                   weight_max=9, seed=2, ensure_reachable=True))
+    ordering = random_ordering(g, 0)
+    sizes = [len(s.frontier) for s in yen_iterations(g, ordering)]
+    assert any(0 < size * engines.WIDE_PASS_DIVISOR <= g.n for size in sizes)
+    assert any(size * engines.WIDE_PASS_DIVISOR > 4 * g.n for size in sizes)
+    assert_kernel_matches_guard_scan(g, ordering)
 
 
 @pytest.mark.parametrize("rank", [(0, 1), (0, 1, 2, 3), (1, 0, 2)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter, deque
 
@@ -11,6 +12,7 @@ from relaxbench import (
     identity_ordering,
     partition_edges,
     random_ordering,
+    worst_case_path,
 )
 
 from helpers import all_orderings, graphs, orderings_for
@@ -27,6 +29,11 @@ def test_graph_validation():
         Graph(2, ((0, 1, math.inf),))
     with pytest.raises(ValueError):
         Graph(2, (), source=2)
+
+
+def test_graph_rejects_weight_too_large_for_a_float():
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has a weight too large"):
+        Graph(2, ((0, 1, 10**400),))
 
 
 def test_ordering_must_be_permutation():
@@ -154,6 +161,13 @@ def test_random_ordering_golden_value():
     # permutation is part of the reproducibility contract.
     g = Graph(6, ())
     assert random_ordering(g, 42).rank == (0, 5, 2, 3, 1, 4)
+
+
+def test_random_ordering_golden_value_at_scale():
+    # Pins the draw sequence at n=2000, where rejection sampling runs on
+    # every bit width up to 11.
+    ranks = [random_ordering(worst_case_path(2000), seed).rank for seed in range(3)]
+    assert hashlib.sha256(repr(ranks).encode()).hexdigest()[:16] == "ec3a66e57ba8ec84"
 
 
 def test_random_ordering_rejects_negative_seed():
