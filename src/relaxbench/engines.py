@@ -4,6 +4,9 @@
 inlines it.  The kernel takes a pass's active vertices in rank order from a
 heap when the pass starts narrow, or from a flag array walked with
 ``bytearray.find`` when it starts with more than n / WIDE_PASS_DIVISOR.
+It compares against a shadow of ``dist`` that holds NaN for unreached
+vertices, which keeps a ``None`` test out of every relaxation and gives the
+same result as the rule (see ``_drain_pass``).
 
 All engines maintain per-vertex tentative distances and predecessors and count
 every relaxation exactly.  ``Unreached`` is represented by ``None`` so that an
@@ -28,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import nan
 from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, Graph, Ordering, random_ordering
@@ -159,8 +163,9 @@ WIDE_PASS_DIVISOR = 64
 
 
 def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]],
-                key: list[Optional[int]], dist: list[Optional[float]], pred: list[Optional[int]],
-                changed_now: bytearray, changed_order: list[int]) -> tuple[int, int]:
+                key: list[Optional[int]], d: list[float], dist: list[Optional[float]],
+                pred: list[Optional[int]], changed_now: bytearray,
+                changed_order: list[int]) -> tuple[int, int]:
     """Relax the out-edges of every vertex keyed in ``keys``, once each, in ascending key order.
 
     ``vertex_at[k]`` is the vertex with key k, and ``key[v]`` is v's key, or
@@ -168,6 +173,15 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
     flag flips joins the work set; every edge of ``adj`` leads to a larger
     key, so it never joins behind the current key.  The body is
     ``SsspState.relax`` inlined.  Returns (relax calls, improvements).
+
+    The body reads ``d``, a shadow of ``dist`` with NaN where ``dist`` holds
+    None, and writes an improvement to both lists.  Its test
+    ``not d[v] <= alt`` is the rule's ``dv is None or dv > alt`` exactly:
+    ``NaN <= x`` is false for every x, so an unreached head always improves,
+    and for any other ``d[v]`` it is ``d[v] > alt`` because ``alt`` is never
+    NaN: weights are finite and only reached tails are taken, so a sum that
+    overflows is +-inf (an +inf shadow would fail here, as ``inf > inf`` is
+    false).
 
     The work set takes one of two forms, picked from the starting size.  A
     narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
@@ -199,14 +213,13 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
             if k < 0:
                 break
         u = vertex_at[k]
-        du = dist[u]
+        du = d[u]
         edges = adj[u]
         calls += len(edges)
         for _, v, w in edges:
             alt = du + w
-            dv = dist[v]
-            if dv is None or dv > alt:
-                dist[v] = alt
+            if not d[v] <= alt:
+                d[v] = dist[v] = alt
                 pred[v] = u
                 imps += 1
                 if not changed_now[v]:
@@ -240,6 +253,11 @@ def yen_iterations(g: Graph, ordering: Ordering,
     to them, not a scan of all n.  The relaxation sequence, and therefore
     ``dist``, ``pred`` and every counter, is that of a rank-order scan
     calling ``SsspState.relax``, whichever mode a pass takes.
+
+    The passes read a NaN shadow of ``state.dist`` (see ``_drain_pass``),
+    built once when the generator starts; ``state.dist`` itself still holds
+    None for unreached vertices.  So while the generator is live it owns
+    ``state.dist``: a caller must not write it between steps.
     """
     ordering.validate_for(g)
     if state is None:
@@ -265,6 +283,7 @@ def yen_iterations(g: Graph, ordering: Ordering,
     down_vertex = up_vertex[::-1]
 
     dist, pred = state.dist, state.pred
+    d = [nan if x is None else x for x in dist]
     changed_now, changed_order = state.changed_now, state._changed_order
     while state.frontier:
         state.begin_iteration()
@@ -272,13 +291,13 @@ def yen_iterations(g: Graph, ordering: Ordering,
         keys = [k for u in frontier if (k := up_key[u]) is not None]
         if keys:
             calls, imps = _drain_pass(keys, up_vertex, up_adj, up_key,
-                                      dist, pred, changed_now, changed_order)
+                                      d, dist, pred, changed_now, changed_order)
             state.relax_calls += calls
             state.improvements += imps
         keys = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
         if keys:
             calls, imps = _drain_pass(keys, down_vertex, down_adj, down_key,
-                                      dist, pred, changed_now, changed_order)
+                                      d, dist, pred, changed_now, changed_order)
             state.relax_calls += calls
             state.improvements += imps
         state.end_iteration()

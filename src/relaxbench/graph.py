@@ -39,7 +39,10 @@ class Graph:
         canon = []
         for e in self.edges:
             u, v, w = e
-            u, v = int(u), int(v)
+            try:
+                u, v = int(u), int(v)
+            except (OverflowError, ValueError):
+                raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
             try:
                 w = float(w)
             except OverflowError:
@@ -74,9 +77,11 @@ class Ordering:
     rank: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", tuple(int(r) for r in self.rank))
-        n = len(self.rank)
-        if sorted(self.rank) != list(range(n)):
+        rank = tuple(map(int, self.rank))
+        object.__setattr__(self, "rank", rank)
+        # n distinct integers between 0 and n-1 are a permutation of them.
+        n = len(rank)
+        if n and (len(set(rank)) != n or min(rank) != 0 or max(rank) != n - 1):
             raise ValueError("rank must be a permutation of 0..n-1")
 
     @property

@@ -16,15 +16,17 @@ def as_inf(dist):
     return [math.inf if d is None else d for d in dist]
 
 
-def guard_scan_yen_iterations(g: Graph, ordering: Ordering):
+def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
     """Reference two-subgraph driver: the plain guard scan over every tail.
 
     Scans all tails of each subgraph in (reverse) rank order and relaxes a
     tail's out-edges through ``SsspState.relax`` iff it is in the frontier or
     changed earlier in the same iteration.  ``yen_iterations`` must step
-    through exactly the same states.
+    through exactly the same states; it takes the same arguments, so it can
+    stand in for the kernel under the detectors.
     """
-    state = SsspState(g)
+    if state is None:
+        state = SsspState(g)
     part = partition_edges(g, ordering)
     up_adj = [[] for _ in range(g.n)]
     for u, v, w in part.plus:
@@ -112,13 +114,17 @@ def all_orderings(g: Graph):
 
 @st.composite
 def graphs(draw, max_n=6, min_weight=-3, max_weight=7, max_edges=12,
-           allow_loops=True, any_source=True):
-    """Small random multigraphs (parallel edges and self-loops allowed)."""
+           allow_loops=True, any_source=True, weights=None):
+    """Small random multigraphs (parallel edges and self-loops allowed).
+
+    Weights are integers in [min_weight, max_weight] unless ``weights``
+    gives another strategy.
+    """
     n = draw(st.integers(min_value=1, max_value=max_n))
     edge = st.tuples(
         st.integers(0, n - 1),
         st.integers(0, n - 1),
-        st.integers(min_weight, max_weight),
+        st.integers(min_weight, max_weight) if weights is None else weights,
     )
     raw = draw(st.lists(edge, min_size=0, max_size=max_edges))
     edges = tuple(
@@ -146,3 +152,8 @@ def orderings_for(draw, g: Graph):
     for pos, v in enumerate(perm, start=1):
         rank[v] = pos
     return Ordering(tuple(rank))
+
+
+# Weights whose sums leave the float range, so tentative distances reach
+# +-inf while every weight stays finite.
+overflow_weights = st.sampled_from((1e308, -1e308, 1.7e308, -1.7e308, -1.0, 0.0, 3.0))

@@ -33,6 +33,7 @@ from helpers import (
     graphs,
     guard_scan_yen_iterations,
     orderings_for,
+    overflow_weights,
 )
 
 
@@ -208,6 +209,36 @@ def test_yen_kernel_matches_guard_scan_across_the_wide_pass_threshold():
     assert any(0 < size * engines.WIDE_PASS_DIVISOR <= g.n for size in sizes)
     assert any(size * engines.WIDE_PASS_DIVISOR > 4 * g.n for size in sizes)
     assert_kernel_matches_guard_scan(g, ordering)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mode):
+    # The kernel compares against a NaN shadow of dist; with distances at
+    # +-inf it must still step exactly as the None-based reference does, and
+    # no NaN may ever reach state.dist.
+    g = data.draw(graphs(max_n=8, max_edges=24, weights=overflow_weights))
+    ordering = data.draw(orderings_for(g))
+    for _ in each_work_set_mode():
+        assert_kernel_matches_guard_scan(g, ordering)
+        for state in islice(yen_iterations(g, ordering), g.n + 1):
+            assert not any(d is not None and math.isnan(d) for d in state.dist)
+
+
+@pytest.mark.parametrize("g, dist, pred", [
+    # inf is not below inf, but the unreached vertex 2 must still be reached.
+    (Graph(3, ((0, 1, 1e308), (1, 2, 1e308))), [0.0, 1e308, math.inf], [None, 0, 1]),
+    (Graph(3, ((0, 1, -1e308), (1, 2, -1e308))), [0.0, -1e308, -math.inf], [None, 0, 1]),
+    # A finite route replaces an overflowed one, whichever is found first.
+    (Graph(4, ((0, 1, 1e308), (1, 2, 1e308), (0, 3, 1.7e308), (3, 2, -1e308))),
+     [0.0, 1e308, 1.7e308 - 1e308, 1.7e308], [None, 0, 3, 0]),
+])
+def test_yen_distances_that_overflow_to_inf(g, dist, pred, each_work_set_mode):
+    for _ in each_work_set_mode():
+        for ordering in all_orderings(g):
+            state, _ = run_yen(g, ordering)
+            assert state.dist == dist and state.pred == pred
 
 
 @pytest.mark.parametrize("rank", [(0, 1), (0, 1, 2, 3), (1, 0, 2)])

@@ -36,11 +36,24 @@ def test_graph_rejects_weight_too_large_for_a_float():
         Graph(2, ((0, 1, 10**400),))
 
 
+def test_graph_rejects_an_endpoint_int_cannot_convert():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"edge \((inf|nan), 1, 1\.0\) has an endpoint"):
+            Graph(2, ((bad, 1, 1.0),))
+        with pytest.raises(ValueError, match=r"edge \(0, (inf|nan), 1\.0\) has an endpoint"):
+            Graph(2, ((0, bad, 1.0),))
+
+
 def test_ordering_must_be_permutation():
     with pytest.raises(ValueError):
         Ordering((0, 0, 1))
     with pytest.raises(ValueError):
         Ordering((1, 2, 3))
+    with pytest.raises(ValueError):
+        Ordering((0, 2))
+    with pytest.raises(ValueError):
+        Ordering((-1, 0))
+    assert Ordering(()).n == 0
 
 
 def test_validate_for_rejects_wrong_source_rank():

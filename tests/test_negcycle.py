@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaxbench import negcycle
 from relaxbench import (
     GeneratorSpec,
     Graph,
@@ -24,7 +25,7 @@ from relaxbench import (
     yen_iterations,
 )
 
-from helpers import graphs
+from helpers import graphs, guard_scan_yen_iterations, overflow_weights
 
 
 def test_parent_graph_detection_examples():
@@ -206,3 +207,30 @@ def test_monte_carlo_agrees_with_oracle_on_dense_instances():
                                              weight_min=0, weight_max=9, seed=seed,
                                              cycle_length=3, cycle_weight=-1))
         assert monte_carlo_dense_detect(planted, seed).found
+
+
+def _detection_outcomes(g, seed):
+    outcomes = []
+    for detect in (run_with_detection, monte_carlo_dense_detect):
+        try:
+            result = detect(g, seed)
+        except RuntimeError as exc:
+            outcomes.append(repr(exc))
+            continue
+        if isinstance(result, tuple):
+            state, stats, result = result
+            outcomes.append((state.dist, state.pred, stats))
+        outcomes.append(result)
+    return outcomes
+
+
+@given(g=graphs(max_n=8, max_edges=24, weights=overflow_weights), seed=st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_detectors_match_the_reference_kernel_when_sums_overflow(g, seed):
+    # The detectors step the Yen kernel; under the None-based guard-scan
+    # reference in its place they must reach the same verdicts, states and
+    # counters, or fail with the same error, when distances reach +-inf.
+    got = _detection_outcomes(g, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(negcycle, "yen_iterations", guard_scan_yen_iterations)
+        assert _detection_outcomes(g, seed) == got
