@@ -44,7 +44,7 @@ from .negcycle import (
     monte_carlo_dense_detect,
     run_with_detection,
 )
-from .oracle import OracleResult, certify, floyd_warshall, shortest_simple_path_lengths
+from .oracle import OracleResult, certify, floyd_warshall
 from .permstats import alternation_count, count_local_minima, local_minima_tail_threshold
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "run_randomized",
     "run_with_detection",
     "run_yen",
-    "shortest_simple_path_lengths",
     "worst_case_path",
     "yen_iterations",
 ]

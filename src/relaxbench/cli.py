@@ -333,8 +333,8 @@ def emit_stats(records: Sequence[TrialRecord], fmt: str) -> str:
 def _add_graph_source_args(parser: argparse.ArgumentParser) -> None:
     src = parser.add_argument_group("graph source (file or generator)")
     src.add_argument("--input", type=Path, help="DIMACS .gr file to load")
-    src.add_argument("--source", type=int, default=1,
-                     help="1-based source vertex id for file input (default 1)")
+    src.add_argument("--source", type=int,
+                     help="1-based source vertex id for --input (default 1)")
     src.add_argument("--gen", choices=KINDS, help="generator kind")
     src.add_argument("--n", type=int, help="vertex count for the generator")
     src.add_argument("--m", type=int, help="edge count for random kinds")
@@ -353,9 +353,11 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if (args.input is None) == (args.gen is None):
         raise DimacsFormatError("exactly one of --input or --gen is required")
     if args.input is not None:
-        g = load_dimacs(args.input, source=args.source)
+        g = load_dimacs(args.input, source=1 if args.source is None else args.source)
         digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
         return g, f"file:{args.input.name}:sha256:{digest}"
+    if args.source is not None:
+        raise DimacsFormatError("--source needs --input; a generated graph's source is vertex 1")
     if args.n is None:
         raise DimacsFormatError("--gen requires --n")
     spec = GeneratorSpec(

@@ -1,28 +1,27 @@
-"""The four shortest-path engines built on one relaxation rule.
+"""The four shortest-path engines: one relaxation kernel and a plain sweep.
 
-``SsspState.relax`` is the rule; the Yen pass kernel, ``_drain_pass``,
-inlines it.  The kernel takes a pass's active vertices in rank order from a
-heap when the pass starts narrow, or from a flag array walked with
-``bytearray.find`` when it starts with more than n / WIDE_PASS_DIVISOR.
-It compares against a shadow of ``dist`` that holds NaN for unreached
-vertices, which keeps a ``None`` test out of every relaxation and gives the
-same result as the rule (see ``_drain_pass``).
+The rule relaxes u -> v of weight w from a reached u: it counts a relax call,
+and when v is unreached or ``dist[u] + w < dist[v]`` it sets ``dist[v]`` and
+``pred[v]`` and counts an improvement.  ``relax`` in ``tests/helpers.py`` is
+its reference, and every engine is differential-tested against drivers on it.
 
-All engines maintain per-vertex tentative distances and predecessors and count
-every relaxation exactly.  ``Unreached`` is represented by ``None`` so that an
-unreached tail can never participate in arithmetic.  The pass structure:
+``_drain_pass`` is the one kernel: yen, adaptive and both negative-cycle
+detectors run on it.  ``basic_passes`` is the plain sweep over the edge list.
+Both compare against a shadow of ``state.dist``, built when a generator
+starts, that holds NaN where ``dist`` holds None (unreached); this keeps a
+``None`` test out of every relaxation (see ``_drain_pass``).  While a
+generator is live it owns ``state.dist``: a caller must not write it between
+steps.  The engines:
 
 * ``run_basic``       fixed n-1 passes over the whole edge list;
-* ``run_adaptive``    scans only vertices whose distance changed last round,
-                      stopping as soon as a round changes nothing;
-* ``run_yen``         adaptive passes over the two rank-induced acyclic
-                      subgraphs, ascending then descending rank;
-* ``run_randomized``  run_yen under a seeded uniform random ordering.
+* ``run_adaptive``    one kernel pass per iteration over the vertices whose
+                      distance changed last round, in id order, stopping as
+                      soon as a round changes nothing;
+* ``run_yen``         two kernel passes per iteration over the rank-induced
+                      acyclic subgraphs, ascending then descending rank;
+* ``run_randomized``  the yen engine under a seeded uniform random ordering.
 
-The stepwise generators (``basic_passes``, ``adaptive_iterations``,
-``yen_iterations``) drive one outer iteration per ``next()`` for the
-per-iteration invariant tests; the negative-cycle detectors reuse
-``yen_iterations``.
+Their stepwise generators drive one outer iteration per ``next()``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from itertools import chain
 from math import nan
 from typing import Iterator, Optional, Sequence
 
-from .graph import Edge, Graph, Ordering, random_ordering
+from .graph import Edge, Graph, Ordering, random_ordering, rank_adjacency
 
 
 class SsspState:
@@ -65,25 +64,6 @@ class SsspState:
         self.relax_calls = 0
         self.improvements = 0
         self.iterations = 0
-
-    def relax(self, u: int, v: int, w: float) -> bool:
-        """Relax the edge u -> v of weight w; return True iff dist[v] dropped.
-
-        Requires dist[u] to be finite (callers skip unreached tails).  Ties
-        never update: only a strict improvement rewrites dist and pred.
-        """
-        self.relax_calls += 1
-        alt = self.dist[u] + w
-        dv = self.dist[v]
-        if dv is None or dv > alt:
-            self.dist[v] = alt
-            self.pred[v] = u
-            if not self.changed_now[v]:
-                self.changed_now[v] = 1
-                self._changed_order.append(v)
-            self.improvements += 1
-            return True
-        return False
 
     def begin_iteration(self) -> None:
         for v in self._changed_order:
@@ -116,21 +96,34 @@ def basic_passes(g: Graph, strict: bool = False,
                  state: Optional[SsspState] = None) -> Iterator[SsspState]:
     """Drive the fixed-count engine one full edge pass at a time.
 
-    Edges whose tail is unreached are skipped.  In strict mode the skipped
-    call is still counted (no arithmetic happens), so a full run performs
-    exactly m*(n-1) relax calls.
+    Each pass relaxes the edges in input order and skips those whose tail
+    is unreached.  In strict mode a skipped edge still counts as a relax
+    call (no arithmetic happens), so a full run makes exactly m*(n-1).
     """
     if state is None:
         state = SsspState(g)
-    edges = g.edges
+    dist, pred = state.dist, state.pred
+    d = [nan if x is None else x for x in dist]
+    changed_now, changed_order = state.changed_now, state._changed_order
+    edges, m = g.edges, g.m
     for _ in range(g.n - 1):
         state.begin_iteration()
+        skipped = imps = 0
         for u, v, w in edges:
-            if state.dist[u] is None:
-                if strict:
-                    state.relax_calls += 1
+            du = dist[u]
+            if du is None:
+                skipped += 1
                 continue
-            state.relax(u, v, w)
+            alt = du + w
+            if not d[v] <= alt:
+                d[v] = dist[v] = alt
+                pred[v] = u
+                imps += 1
+                if not changed_now[v]:
+                    changed_now[v] = 1
+                    changed_order.append(v)
+        state.relax_calls += m if strict else m - skipped
+        state.improvements += imps
         state.end_iteration()
         yield state
 
@@ -138,19 +131,19 @@ def basic_passes(g: Graph, strict: bool = False,
 def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator[SsspState]:
     """Drive the changed-vertices-only engine one outer iteration at a time.
 
-    Each iteration relaxes the out-edges of every vertex in the frontier
-    (ascending vertex index as the deterministic tie-break) and then rebuilds
-    the frontier from the vertices whose distance dropped.  The generator is
-    exhausted when an iteration changes nothing.
+    Each iteration is one ``_drain_pass`` keyed by vertex id over the
+    frontier, so a vertex that changes meanwhile waits for the next one.
+    The generator is exhausted when an iteration changes nothing.
     """
     if state is None:
         state = SsspState(g)
+    n = g.n
     adj = g.out_adjacency()
+    no_key: list[Optional[int]] = [None] * n
+    d = [nan if x is None else x for x in state.dist]
     while state.frontier:
         state.begin_iteration()
-        for u in sorted(state.frontier):
-            for v, w in adj[u]:
-                state.relax(u, v, w)
+        _drain_pass(list(state.frontier), range(n), adj, no_key, d, state)
         state.end_iteration()
         yield state
 
@@ -163,19 +156,20 @@ WIDE_PASS_DIVISOR = 64
 
 
 def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]],
-                key: list[Optional[int]], d: list[float], dist: list[Optional[float]],
-                pred: list[Optional[int]], changed_now: bytearray,
-                changed_order: list[int]) -> tuple[int, int]:
+                key: list[Optional[int]], d: list[float], state: SsspState) -> None:
     """Relax the out-edges of every vertex keyed in ``keys``, once each, in ascending key order.
 
     ``vertex_at[k]`` is the vertex with key k, and ``key[v]`` is v's key, or
-    None when v has no out-edges in ``adj``.  A vertex whose ``changed_now``
-    flag flips joins the work set; every edge of ``adj`` leads to a larger
-    key, so it never joins behind the current key.  The body is
-    ``SsspState.relax`` inlined.  Returns (relax calls, improvements).
+    None when v never joins the running pass.  A keyed vertex whose
+    ``changed_now`` flag flips joins the work set; in a Yen pass every edge
+    of ``adj`` leads to a larger key, so it never joins behind the current
+    key.  The body is the relaxation rule inlined, and it adds the pass's
+    relax calls and improvements to ``state``.  The rule reads ``dist[u]``
+    per edge; the body reads it once per vertex, so an improving self-loop
+    also updates that copy (Yen's adjacencies hold none).
 
-    The body reads ``d``, a shadow of ``dist`` with NaN where ``dist`` holds
-    None, and writes an improvement to both lists.  Its test
+    The body reads ``d``, a shadow of ``state.dist`` with NaN where ``dist``
+    holds None, and writes an improvement to both lists.  Its test
     ``not d[v] <= alt`` is the rule's ``dv is None or dv > alt`` exactly:
     ``NaN <= x`` is false for every x, so an unreached head always improves,
     and for any other ``d[v]`` it is ``d[v] > alt`` because ``alt`` is never
@@ -198,6 +192,8 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
             flags[k] = 1
     else:
         heapify(keys)
+    dist, pred = state.dist, state.pred
+    changed_now, changed_order = state.changed_now, state._changed_order
     calls = imps = 0
     k = last = -1
     while True:
@@ -222,6 +218,8 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
                 d[v] = dist[v] = alt
                 pred[v] = u
                 imps += 1
+                if v == u:
+                    du = alt
                 if not changed_now[v]:
                     changed_now[v] = 1
                     changed_order.append(v)
@@ -231,7 +229,8 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
                             heappush(keys, kv)
                         else:
                             flags[kv] = 1
-    return calls, imps
+    state.relax_calls += calls
+    state.improvements += imps
 
 
 def yen_iterations(g: Graph, ordering: Ordering,
@@ -245,36 +244,16 @@ def yen_iterations(g: Graph, ordering: Ordering,
     the ascending pass's updates.  Self-loops are relaxed by neither pass.
 
     Each pass visits exactly those vertices, in rank order, through
-    ``_drain_pass``; a pass with none is skipped.  A pass that starts with
-    at most n / WIDE_PASS_DIVISOR of them drains a rank-keyed heap, at
-    O(log n) per activated vertex; a wider one walks a flag array of n,
-    which costs at most WIDE_PASS_DIVISOR bytes per starting vertex.  So an
-    iteration costs the active vertices' out-edges plus work proportional
-    to them, not a scan of all n.  The relaxation sequence, and therefore
-    ``dist``, ``pred`` and every counter, is that of a rank-order scan
-    calling ``SsspState.relax``, whichever mode a pass takes.
-
-    The passes read a NaN shadow of ``state.dist`` (see ``_drain_pass``),
-    built once when the generator starts; ``state.dist`` itself still holds
-    None for unreached vertices.  So while the generator is live it owns
-    ``state.dist``: a caller must not write it between steps.
+    ``_drain_pass``, so an iteration costs their out-edges plus work
+    proportional to them, not a scan of all n; a pass with none is skipped.
+    The relaxation sequence, and therefore ``dist``, ``pred`` and every
+    counter, is that of a rank-order scan applying the rule.
     """
-    ordering.validate_for(g)
+    up_adj, down_adj = rank_adjacency(g, ordering)
     if state is None:
         state = SsspState(g)
     n = g.n
     rank = ordering.rank
-    # One pass in input order keeps each tail's edges in input order; the
-    # lists share the graph's own edge tuples.
-    up_adj: list[list[Edge]] = [[] for _ in range(n)]
-    down_adj: list[list[Edge]] = [[] for _ in range(n)]
-    for e in g.edges:
-        u, v, _ = e
-        ru, rv = rank[u], rank[v]
-        if ru < rv:
-            up_adj[u].append(e)
-        elif ru > rv:
-            down_adj[u].append(e)
     # The descending pass keys vertex v by n-1-rank[v], so both passes visit
     # their smallest key first.
     up_key = [rank[v] if up_adj[v] else None for v in range(n)]
@@ -282,32 +261,27 @@ def yen_iterations(g: Graph, ordering: Ordering,
     up_vertex = ordering.by_rank
     down_vertex = up_vertex[::-1]
 
-    dist, pred = state.dist, state.pred
-    d = [nan if x is None else x for x in dist]
-    changed_now, changed_order = state.changed_now, state._changed_order
+    d = [nan if x is None else x for x in state.dist]
+    changed_order = state._changed_order
     while state.frontier:
         state.begin_iteration()
         frontier = state.frontier
         keys = [k for u in frontier if (k := up_key[u]) is not None]
         if keys:
-            calls, imps = _drain_pass(keys, up_vertex, up_adj, up_key,
-                                      d, dist, pred, changed_now, changed_order)
-            state.relax_calls += calls
-            state.improvements += imps
+            _drain_pass(keys, up_vertex, up_adj, up_key, d, state)
         keys = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
         if keys:
-            calls, imps = _drain_pass(keys, down_vertex, down_adj, down_key,
-                                      d, dist, pred, changed_now, changed_order)
-            state.relax_calls += calls
-            state.improvements += imps
+            _drain_pass(keys, down_vertex, down_adj, down_key, d, state)
         state.end_iteration()
         yield state
 
 
-def _drain_capped(g: Graph, iterator: Iterator[SsspState], engine: str) -> None:
+def _drain_capped(g: Graph, state: SsspState, iterator: Iterator[SsspState],
+                  engine: str) -> tuple[SsspState, RunStats]:
     # Cap policy.  Cap outer iterations at n + 1 and warn on a hit: callers
-    # of run_yen and run_adaptive promise no reachable negative cycle, so a
-    # hit is their broken precondition and the partial state is returned.
+    # of run_adaptive, run_yen and run_randomized promise no reachable
+    # negative cycle, so a hit is their broken precondition and the partial
+    # state is returned.  The warning points at the engine's caller.
     # run_with_detection raises at its own cap, ceil(n/2) + 2, since there a
     # hit means the library broke its own invariant; the contracts differ.
     cap = g.n + 1
@@ -320,6 +294,7 @@ def _drain_capped(g: Graph, iterator: Iterator[SsspState], engine: str) -> None:
                 stacklevel=3,
             )
             break
+    return state, _stats(state, terminated_early=not state.frontier)
 
 
 def run_basic(g: Graph, strict: bool = False) -> tuple[SsspState, RunStats]:
@@ -338,8 +313,7 @@ def run_basic(g: Graph, strict: bool = False) -> tuple[SsspState, RunStats]:
 def run_adaptive(g: Graph) -> tuple[SsspState, RunStats]:
     """Changed-vertices-only passes with early termination."""
     state = SsspState(g)
-    _drain_capped(g, adaptive_iterations(g, state), "run_adaptive")
-    return state, _stats(state, terminated_early=not state.frontier)
+    return _drain_capped(g, state, adaptive_iterations(g, state), "run_adaptive")
 
 
 def run_yen(g: Graph, ordering: Ordering) -> tuple[SsspState, RunStats]:
@@ -348,8 +322,7 @@ def run_yen(g: Graph, ordering: Ordering) -> tuple[SsspState, RunStats]:
     Performs at most m*n/2 + m relax calls on negative-cycle-free inputs.
     """
     state = SsspState(g)
-    _drain_capped(g, yen_iterations(g, ordering, state), "run_yen")
-    return state, _stats(state, terminated_early=not state.frontier)
+    return _drain_capped(g, state, yen_iterations(g, ordering, state), "run_yen")
 
 
 def run_randomized(g: Graph, seed: int) -> tuple[SsspState, RunStats, Ordering]:
@@ -359,5 +332,6 @@ def run_randomized(g: Graph, seed: int) -> tuple[SsspState, RunStats, Ordering]:
     are seed-independent; only the iteration and relaxation counts vary.
     """
     ordering = random_ordering(g, seed)
-    state, stats = run_yen(g, ordering)
+    state = SsspState(g)
+    state, stats = _drain_capped(g, state, yen_iterations(g, ordering, state), "run_randomized")
     return state, stats, ordering

@@ -52,8 +52,10 @@ def adversarial_ordering(n: int) -> Ordering:
 class GeneratorSpec:
     """Parameters for one generated instance.
 
-    ``m`` and ``density`` are alternatives (density means m/(n*(n-1)));
-    the dense kind always uses every ordered pair.  ``ensure_reachable`` adds
+    ``m`` and ``density`` are alternatives (density means m/(n*(n-1))) for
+    random-sparse and planted-cycle alone; the dense kind always uses every
+    ordered pair.  Only planted-cycle takes the cycle fields; a field the
+    kind ignores raises ``ValueError``.  ``ensure_reachable`` adds
     a zero-weight spanning arborescence before the random edges, so it needs
     m >= n-1.  Planted cycles are appended after the base edges (parallel
     edges are legal) and are always made reachable from the source.
@@ -77,6 +79,12 @@ class GeneratorSpec:
             raise ValueError("n must be >= 1")
         if self.weight_min > self.weight_max:
             raise ValueError("weight_min must be <= weight_max")
+        if self.kind in ("path-worst-case", "random-dense") and (self.m, self.density) != (None, None):
+            raise ValueError(f"{self.kind} takes neither m nor density")
+        if None not in (self.m, self.density):
+            raise ValueError("m and density are alternatives; give one")
+        if self.kind != "planted-cycle" and (self.cycle_length, self.cycle_weight) != (None, None):
+            raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
             if self.n < 2:
                 raise ValueError(f"{self.kind} needs n >= 2")

@@ -2,10 +2,11 @@
 
 A graph is a flat edge list over dense integer vertex ids 0..n-1 with a
 designated source.  An Ordering assigns every vertex a rank, with the source
-pinned at rank 0.  Partitioning splits the edge list into the rank-ascending
-and rank-descending subgraphs (both acyclic by construction); self-loops go
-into a third bucket, which no pass relaxes.  The cycle detectors find negative
-self-loops by scanning ``Graph.edges`` themselves.
+pinned at rank 0.  ``rank_adjacency`` splits each tail's edges into the
+rank-ascending and rank-descending subgraphs (both acyclic by construction);
+``partition_edges`` flattens that split and puts the self-loops, which no Yen
+pass relaxes, in a third bucket.  The cycle detectors find negative self-loops
+by scanning ``Graph.edges`` themselves.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Tuple
 
 Edge = Tuple[int, int, float]  # (tail, head, weight)
@@ -58,11 +60,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def out_adjacency(self) -> list[list[tuple[int, float]]]:
-        """Per-vertex out-edges as (head, weight), in input edge order."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
+    def out_adjacency(self) -> list[list[Edge]]:
+        """Per-vertex out-edges, the graph's own tuples in input order, self-loops included."""
+        adj: list[list[Edge]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            adj[e[0]].append(e)
         return adj
 
 
@@ -118,28 +120,37 @@ class EdgePartition:
     loops: Tuple[Edge, ...]
 
 
-def partition_edges(g: Graph, ordering: Ordering) -> EdgePartition:
-    """Split g's edges by rank direction under ``ordering``.
+def rank_adjacency(g: Graph, ordering: Ordering) -> tuple[list[list[Edge]], list[list[Edge]]]:
+    """Split g's out-edges by rank direction: (up, down), per tail, in input order.
 
-    Every edge lands in exactly one bucket: ascending rank in ``plus``,
-    descending rank in ``minus``, and self-loops (equal rank is possible only
-    for u == v since ranks are bijective) in ``loops``.
+    ``up[u]`` holds u's edges to higher-ranked heads and ``down[u]`` those to
+    lower-ranked ones, the graph's own tuples; self-loops are in neither.
     """
     ordering.validate_for(g)
     rank = ordering.rank
-    plus, minus, loops = [], [], []
+    up: list[list[Edge]] = [[] for _ in range(g.n)]
+    down: list[list[Edge]] = [[] for _ in range(g.n)]
     for e in g.edges:
         u, v, _ = e
-        if rank[u] < rank[v]:
-            plus.append(e)
-        elif rank[u] > rank[v]:
-            minus.append(e)
-        else:
-            loops.append(e)
-    # Python sorts are stable, so ties on tail rank keep input order.
-    plus.sort(key=lambda e: rank[e[0]])
-    minus.sort(key=lambda e: -rank[e[0]])
-    return EdgePartition(tuple(plus), tuple(minus), tuple(loops))
+        ru, rv = rank[u], rank[v]
+        if ru < rv:
+            up[u].append(e)
+        elif ru > rv:
+            down[u].append(e)
+    return up, down
+
+
+def partition_edges(g: Graph, ordering: Ordering) -> EdgePartition:
+    """Flatten ``rank_adjacency`` into edge lists and collect the self-loops.
+
+    Every edge lands in exactly one bucket: ascending rank in ``plus``,
+    descending rank in ``minus``, and self-loops in ``loops``.
+    """
+    up, down = rank_adjacency(g, ordering)
+    by_rank = ordering.by_rank
+    return EdgePartition(tuple(chain.from_iterable(map(up.__getitem__, by_rank))),
+                         tuple(chain.from_iterable(map(down.__getitem__, reversed(by_rank)))),
+                         tuple(e for e in g.edges if e[0] == e[1]))
 
 
 def identity_ordering(g: Graph) -> Ordering:

@@ -1,11 +1,10 @@
 """Independent references and checkers used only for verification.
 
 Nothing here shares code with the engines or the detectors: distances come
-from an all-pairs Floyd-Warshall recurrence over an adjacency matrix, the
-shortest simple-path lengths come from exhaustive path enumeration on tiny
-graphs, and ``certify`` checks one verdict's certificate in linear time at any
-n.  The oracle represents "no path" as ``math.inf`` internally (engines use
-``None``); callers convert when comparing.
+from an all-pairs Floyd-Warshall recurrence over an adjacency matrix, and
+``certify`` checks one verdict's certificate in linear time at any n.  The
+oracle represents "no path" as ``math.inf`` internally (engines use ``None``);
+callers convert when comparing.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import List, Optional, Sequence
 from .graph import Edge, Graph
 
 ORACLE_CAP = 256
-SIMPLE_PATH_CAP = 8
 
 
 @dataclass
@@ -157,47 +155,3 @@ def certify(g: Graph, dist: Sequence[Optional[float]],
         if dist[v] is not None and not seen[v]:
             return f"vertex {v} has distance {dist[v]} but no tight path from the source"
     return None
-
-
-def shortest_simple_path_lengths(g: Graph) -> List[Optional[float]]:
-    """Length of the shortest *simple* path from the source to each vertex.
-
-    Brute-force enumeration of every simple path, so the graph must have at
-    most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0.0 (the empty path); unreachable
-    vertices get ``None``.  Well-defined even when negative cycles exist,
-    which is exactly why the detectors' tests need it.
-    """
-    if g.n > SIMPLE_PATH_CAP:
-        raise ValueError(f"graph has {g.n} vertices, simple-path cap is {SIMPLE_PATH_CAP}")
-    n, s = g.n, g.source
-    # Parallel edges collapse to the cheapest one; self-loops never lie on a
-    # simple path.
-    best_edge: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        if u == v:
-            continue
-        key = (u, v)
-        if key not in best_edge or w < best_edge[key]:
-            best_edge[key] = w
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in sorted(best_edge.items()):
-        adj[u].append((v, w))
-
-    best: list[float] = [math.inf] * n
-    best[s] = 0.0
-    on_path = bytearray(n)
-
-    def walk(u: int, acc: float) -> None:
-        on_path[u] = 1
-        for v, w in adj[u]:
-            if not on_path[v]:
-                total = acc + w
-                if total < best[v]:
-                    best[v] = total
-                # No pruning: with negative edges a worse prefix can still
-                # lead to a better continuation.
-                walk(v, total)
-        on_path[u] = 0
-
-    walk(s, 0.0)
-    return [b if b < math.inf else None for b in best]

@@ -1,14 +1,17 @@
-"""Shared test utilities: strategies, conversions, and independent checkers."""
+"""Shared test utilities: strategies, conversions, the reference relaxation rule and
+the drivers built on it, and independent checkers."""
 
 from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import Optional
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from relaxbench import Graph, Ordering, SsspState, floyd_warshall, partition_edges
+from relaxbench import Graph, Ordering, SsspState, floyd_warshall
+from relaxbench.graph import rank_adjacency
 
 
 def as_inf(dist):
@@ -16,24 +19,68 @@ def as_inf(dist):
     return [math.inf if d is None else d for d in dist]
 
 
+def relax(state: SsspState, u: int, v: int, w: float) -> bool:
+    """The relaxation rule: relax u -> v of weight w; return True iff dist[v] dropped.
+
+    Requires u to be reached (callers skip unreached tails).  Every call
+    counts; only a strict improvement, or a first reach, rewrites dist and
+    pred and counts as an improvement.  The engines inline this rule; the
+    reference drivers below call it once per edge.
+    """
+    state.relax_calls += 1
+    alt = state.dist[u] + w
+    dv = state.dist[v]
+    if dv is None or dv > alt:
+        state.dist[v] = alt
+        state.pred[v] = u
+        if not state.changed_now[v]:
+            state.changed_now[v] = 1
+            state._changed_order.append(v)
+        state.improvements += 1
+        return True
+    return False
+
+
+def reference_basic_passes(g: Graph, strict: bool = False):
+    """Reference fixed-count driver: ``relax`` over every edge with a reached tail."""
+    state = SsspState(g)
+    for _ in range(g.n - 1):
+        state.begin_iteration()
+        for u, v, w in g.edges:
+            if state.dist[u] is None:
+                if strict:
+                    state.relax_calls += 1
+                continue
+            relax(state, u, v, w)
+        state.end_iteration()
+        yield state
+
+
+def reference_adaptive_iterations(g: Graph):
+    """Reference changed-vertices driver: ``relax`` over the frontier's out-edges, by vertex id."""
+    state = SsspState(g)
+    adj = g.out_adjacency()
+    while state.frontier:
+        state.begin_iteration()
+        for u in sorted(state.frontier):
+            for _, v, w in adj[u]:
+                relax(state, u, v, w)
+        state.end_iteration()
+        yield state
+
+
 def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
     """Reference two-subgraph driver: the plain guard scan over every tail.
 
     Scans all tails of each subgraph in (reverse) rank order and relaxes a
-    tail's out-edges through ``SsspState.relax`` iff it is in the frontier or
-    changed earlier in the same iteration.  ``yen_iterations`` must step
-    through exactly the same states; it takes the same arguments, so it can
-    stand in for the kernel under the detectors.
+    tail's out-edges through ``relax`` iff it is in the frontier or changed
+    earlier in the same iteration.  ``yen_iterations`` must step through
+    exactly the same states; it takes the same arguments, so it can stand in
+    for the kernel under the detectors.
     """
     if state is None:
         state = SsspState(g)
-    part = partition_edges(g, ordering)
-    up_adj = [[] for _ in range(g.n)]
-    for u, v, w in part.plus:
-        up_adj[u].append((v, w))
-    down_adj = [[] for _ in range(g.n)]
-    for u, v, w in part.minus:
-        down_adj[u].append((v, w))
+    up_adj, down_adj = rank_adjacency(g, ordering)
     order = ordering.by_rank
     passes = (([u for u in order if up_adj[u]], up_adj),
               ([u for u in reversed(order) if down_adj[u]], down_adj))
@@ -42,8 +89,8 @@ def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
         for tails, adj in passes:
             for u in tails:
                 if u in state.frontier or state.changed_now[u]:
-                    for v, w in adj[u]:
-                        state.relax(u, v, w)
+                    for _, v, w in adj[u]:
+                        relax(state, u, v, w)
         state.end_iteration()
         yield state
 
@@ -54,7 +101,7 @@ def reachable_from_source(g: Graph) -> set[int]:
     stack = [g.source]
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for _, v, _ in adj[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -100,6 +147,53 @@ def brute_force_negative_cycle(g: Graph) -> bool:
         if found:
             return True
     return False
+
+
+SIMPLE_PATH_CAP = 8
+
+
+def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
+    """Length of the shortest *simple* path from the source to each vertex.
+
+    Brute-force enumeration of every simple path, so the graph must have at
+    most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0.0 (the empty path); unreachable
+    vertices get ``None``.  Well-defined even when negative cycles exist,
+    which is exactly why the detectors' tests need it.
+    """
+    if g.n > SIMPLE_PATH_CAP:
+        raise ValueError(f"graph has {g.n} vertices, simple-path cap is {SIMPLE_PATH_CAP}")
+    n, s = g.n, g.source
+    # Parallel edges collapse to the cheapest one; self-loops never lie on a
+    # simple path.
+    best_edge: dict[tuple[int, int], float] = {}
+    for u, v, w in g.edges:
+        if u == v:
+            continue
+        key = (u, v)
+        if key not in best_edge or w < best_edge[key]:
+            best_edge[key] = w
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (u, v), w in sorted(best_edge.items()):
+        adj[u].append((v, w))
+
+    best: list[float] = [math.inf] * n
+    best[s] = 0.0
+    on_path = bytearray(n)
+
+    def walk(u: int, acc: float) -> None:
+        on_path[u] = 1
+        for v, w in adj[u]:
+            if not on_path[v]:
+                total = acc + w
+                if total < best[v]:
+                    best[v] = total
+                # No pruning: with negative edges a worse prefix can still
+                # lead to a better continuation.
+                walk(v, total)
+        on_path[u] = 0
+
+    walk(s, 0.0)
+    return [b if b < math.inf else None for b in best]
 
 
 def all_orderings(g: Graph):

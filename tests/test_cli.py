@@ -129,7 +129,8 @@ def test_cli_negative_cycle_paths(tmp_path, capsys):
     assert ",true," in out
 
     # verifying engine distances against the oracle is impossible here
-    rc = main(["run", *args, "--algorithm", "randomized", "--check-oracle"])
+    with pytest.warns(RuntimeWarning, match="run_randomized: iteration cap"):
+        rc = main(["run", *args, "--algorithm", "randomized", "--check-oracle"])
     assert rc == 1
     assert "negative cycle" in capsys.readouterr().err
 
@@ -251,6 +252,20 @@ def test_cli_source_flag_selects_external_id(tmp_path, capsys):
     rc = main(["verify", "--input", str(gr), "--source", "2"])
     assert rc == 0
     assert main(["verify", "--input", str(gr), "--source", "9"]) == 2
+
+
+def test_cli_source_with_gen_exits_two(capsys):
+    rc = main(["run", "--gen", "path-worst-case", "--n", "5", "--source", "3",
+               "--algorithm", "randomized"])
+    assert rc == 2
+    assert "--source needs --input" in capsys.readouterr().err
+
+
+def test_cli_generator_flag_the_kind_ignores_exits_two(capsys):
+    rc = main(["run", "--gen", "path-worst-case", "--n", "5", "--m", "40",
+               "--cycle-length", "3", "--algorithm", "randomized"])
+    assert rc == 2
+    assert "path-worst-case takes neither m nor density" in capsys.readouterr().err
 
 
 def test_cli_seeds_syntax_errors(capsys):

@@ -34,20 +34,23 @@ from helpers import (
     guard_scan_yen_iterations,
     orderings_for,
     overflow_weights,
+    reference_adaptive_iterations,
+    reference_basic_passes,
+    relax,
 )
 
 
 def test_relax_first_reach_improvement_and_tie():
     g = Graph(3, ())
     state = SsspState(g)
-    assert state.relax(0, 1, 5.0) is True
+    assert relax(state, 0, 1, 5.0) is True
     assert state.dist[1] == 5.0 and state.pred[1] == 0
 
     state.dist[0], state.dist[1] = 2.0, 5.0
-    assert state.relax(0, 1, 3.0) is False  # tie: strict inequality only
+    assert relax(state, 0, 1, 3.0) is False  # tie: strict inequality only
     assert state.dist[1] == 5.0
 
-    assert state.relax(0, 1, -4.0) is True
+    assert relax(state, 0, 1, -4.0) is True
     assert state.dist[1] == -2.0 and state.pred[1] == 0
     assert state.relax_calls == 3 and state.improvements == 2
 
@@ -142,7 +145,7 @@ def test_randomized_distances_are_seed_independent():
         assert ordering.rank[g.source] == 0
 
 
-def _yen_steps(driver, g):
+def _steps(driver, g):
     # State after every iteration, capped at n + 1 iterations so that inputs
     # with a reachable negative cycle stop too.
     return [(list(s.dist), list(s.pred), set(s.frontier), s.relax_calls, s.improvements,
@@ -150,8 +153,8 @@ def _yen_steps(driver, g):
 
 
 def assert_kernel_matches_guard_scan(g, ordering):
-    assert (_yen_steps(yen_iterations(g, ordering), g)
-            == _yen_steps(guard_scan_yen_iterations(g, ordering), g))
+    assert (_steps(yen_iterations(g, ordering), g)
+            == _steps(guard_scan_yen_iterations(g, ordering), g))
 
 
 @pytest.fixture
@@ -224,6 +227,34 @@ def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mo
         assert_kernel_matches_guard_scan(g, ordering)
         for state in islice(yen_iterations(g, ordering), g.n + 1):
             assert not any(d is not None and math.isnan(d) for d in state.dist)
+
+
+def assert_basic_and_adaptive_match_reference(g):
+    for strict in (False, True):
+        assert (_steps(basic_passes(g, strict), g)
+                == _steps(reference_basic_passes(g, strict), g))
+    assert _steps(adaptive_iterations(g), g) == _steps(reference_adaptive_iterations(g), g)
+
+
+# Self-loops, negative weights and cycles; with overflow_weights, sums reach
+# +-inf, and the engines' NaN shadow must still step as the None-based rule.
+@pytest.mark.parametrize("weights", [None, overflow_weights], ids=["small", "overflow"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_basic_and_adaptive_match_the_reference(weights, data, each_work_set_mode):
+    g = data.draw(graphs(max_n=8, max_edges=24, weights=weights))
+    for _ in each_work_set_mode():
+        assert_basic_and_adaptive_match_reference(g)
+
+
+def test_adaptive_feeds_a_self_loops_improvement_to_the_tails_later_edges(each_work_set_mode):
+    # The kernel reads dist[u] once per vertex, the rule once per edge: an
+    # improving self-loop must reach u's later edges in the same pass.
+    g = Graph(2, ((0, 0, -1.0), (0, 1, 1.0)))
+    for _ in each_work_set_mode():
+        state = next(adaptive_iterations(g))
+        assert state.dist == [-1.0, 0.0] and state.pred == [0, 0]
 
 
 @pytest.mark.parametrize("g, dist, pred", [
@@ -347,6 +378,14 @@ def test_negative_cycle_hits_iteration_cap_with_warning():
     assert not stats.terminated_early
     with pytest.warns(RuntimeWarning):
         _, stats = run_yen(g, identity_ordering(g))
+    assert stats.iterations == g.n + 1
+
+
+def test_randomized_cap_warning_names_it_and_points_at_its_caller():
+    g = Graph(2, ((0, 1, 1.0), (1, 0, -3.0)))
+    with pytest.warns(RuntimeWarning, match=r"^run_randomized: iteration cap 3 hit") as caught:
+        _, stats, _ = run_randomized(g, 0)
+    assert caught[0].filename == __file__
     assert stats.iterations == g.n + 1
 
 

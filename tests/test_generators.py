@@ -16,11 +16,10 @@ from relaxbench import (
     run_basic,
     run_randomized,
     run_yen,
-    shortest_simple_path_lengths,
     worst_case_path,
 )
 
-from helpers import all_orderings, reachable_from_source
+from helpers import all_orderings, reachable_from_source, shortest_simple_path_lengths
 
 
 def test_worst_case_path_shape():
@@ -156,6 +155,26 @@ def test_spec_validation():
         GeneratorSpec(kind="random-sparse", n=4, weight_min=5, weight_max=2, m=3)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="random-sparse", n=4).base_edge_count()  # m or density
+
+
+@pytest.mark.parametrize("kind", ["path-worst-case", "random-dense"])
+@pytest.mark.parametrize("size", [{"m": 20}, {"density": 1.0}])
+def test_spec_rejects_m_or_density_on_a_kind_that_ignores_them(kind, size):
+    with pytest.raises(ValueError, match="takes neither m nor density"):
+        GeneratorSpec(kind=kind, n=5, **size)
+
+
+def test_spec_rejects_m_and_density_together():
+    with pytest.raises(ValueError, match="alternatives"):
+        GeneratorSpec(kind="random-sparse", n=5, m=6, density=0.3)
+
+
+@pytest.mark.parametrize("kind", ["path-worst-case", "random-sparse", "random-dense"])
+@pytest.mark.parametrize("cycle", [{"cycle_length": 3}, {"cycle_weight": -1}])
+def test_spec_rejects_cycle_fields_off_planted_cycle(kind, cycle):
+    size = {"m": 6} if kind == "random-sparse" else {}
+    with pytest.raises(ValueError, match="need planted-cycle"):
+        GeneratorSpec(kind=kind, n=5, **size, **cycle)
 
 
 def test_build_graph_dispatch():

@@ -21,11 +21,10 @@ from relaxbench import (
     random_ordering,
     run_randomized,
     run_with_detection,
-    shortest_simple_path_lengths,
     yen_iterations,
 )
 
-from helpers import graphs, guard_scan_yen_iterations, overflow_weights
+from helpers import graphs, guard_scan_yen_iterations, overflow_weights, shortest_simple_path_lengths
 
 
 def test_parent_graph_detection_examples():

@@ -16,7 +16,6 @@ from relaxbench import (
     random_ordering,
     run_basic,
     run_with_detection,
-    shortest_simple_path_lengths,
     yen_iterations,
 )
 
@@ -26,6 +25,7 @@ from helpers import (
     cycle_free_graphs,
     graphs,
     reachable_from_source,
+    shortest_simple_path_lengths,
 )
 
 
