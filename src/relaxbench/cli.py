@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 from .dimacs import DimacsFormatError, load_dimacs, write_dimacs
 from .engines import run_adaptive, run_basic, run_randomized, run_yen
 from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
-from .graph import Graph, identity_ordering, random_ordering
+from .graph import Graph, identity_ordering
 from .negcycle import run_with_detection
 from .oracle import certify, floyd_warshall
 
@@ -80,11 +80,10 @@ class TrialRecord:
 
 CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
-# name -> (graph, seed) -> Ordering, for --algorithm yen.
+# name -> graph -> Ordering, for --algorithm yen.
 ORDERINGS = {
-    "identity": lambda g, seed: identity_ordering(g),
-    "random": random_ordering,
-    "adversarial": lambda g, seed: adversarial_ordering(g.n),
+    "identity": identity_ordering,
+    "adversarial": lambda g: adversarial_ordering(g.n),
 }
 
 # name -> (graph, seed, config) -> (state, stats): the one engine dispatch,
@@ -93,7 +92,7 @@ ORDERINGS = {
 ENGINES = {
     "basic": lambda g, seed, config: run_basic(g, strict=config.strict_count),
     "adaptive": lambda g, seed, config: run_adaptive(g),
-    "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering or "identity"](g, seed)),
+    "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering or "identity"](g)),
     "randomized": lambda g, seed, config: (run_with_detection(g, seed, config.c)
                                            if config.detect_cycles
                                            else run_randomized(g, seed))[:2],
@@ -224,12 +223,12 @@ def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
 
     flaw = certify(g, state.dist, stats.negative_cycle) if config.check_oracle else None
     if flaw is not None:
-        if not config.detect_cycles and not stats.terminated_early:
+        if not config.detect_cycles and state.frontier:
             raise OracleMismatchError(
-                f"seed {seed}: {config.algorithm} stopped at its iteration cap and its "
-                f"distances fail the certificate ({flaw}); the input likely has a negative "
+                f"seed {seed}: {config.algorithm} stopped with distances still changing and "
+                f"its distances fail the certificate ({flaw}); the input likely has a negative "
                 "cycle reachable from the source, where engine distances are undefined "
-                "(rerun with --detect-cycles)"
+                "(rerun with --algorithm randomized --detect-cycles)"
             )
         raise OracleMismatchError(
             f"seed {seed}: {config.algorithm} verdict fails its certificate: {flaw}"
@@ -400,13 +399,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.c is not None and not args.detect_cycles:
+        raise ValueError("--c needs --detect-cycles; no other run reads it")
     g, label = _resolve_graph(args)
     config = TrialConfig(
         graph=g,
         algorithm=args.algorithm,
         seeds=_parse_seeds(args),
         ordering=args.ordering,
-        c=args.c,
+        c=2.0 if args.c is None else args.c,
         check_oracle=args.check_oracle,
         detect_cycles=args.detect_cycles,
         strict_count=args.strict_count,
@@ -473,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds = p_run.add_mutually_exclusive_group()
     seeds.add_argument("--seed", type=int, default=0)
     seeds.add_argument("--seeds", type=str, help="half-open range A:B")
-    p_run.add_argument("--c", type=float, default=2.0,
-                       help="confidence exponent for detection thresholds")
+    p_run.add_argument("--c", type=float,
+                       help="confidence exponent for --detect-cycles (default 2.0)")
     p_run.add_argument("--check-oracle", action="store_true",
                        help="check each trial's distances or cycle certificate in O(n + m)")
     p_run.add_argument("--detect-cycles", action="store_true")

@@ -21,7 +21,9 @@ steps.  The engines:
                       acyclic subgraphs, ascending then descending rank;
 * ``run_randomized``  the yen engine under a seeded uniform random ordering.
 
-Their stepwise generators drive one outer iteration per ``next()``.
+Their stepwise generators drive one outer iteration per ``next()``, each closed
+by ``SsspState.end_iteration``: between steps ``frontier`` lists the vertices
+the iteration changed, in change order, and ``changed_now`` is all clear.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class SsspState:
     Attributes:
         dist: per-vertex tentative distance, ``None`` while unreached.
         pred: per-vertex predecessor on the tentative path, ``None`` if unset.
-        frontier: vertices whose distance changed in the previous outer
-            iteration (the engines' work set).
-        changed_now: per-vertex flag, set when the distance changed during the
-            current outer iteration.
+        frontier: the vertices whose distance changed in the previous outer
+            iteration, each once, in the order they first changed (the
+            engines' work set); empty when a run has converged.
+        changed_now: per-vertex flag, set when the distance changes during
+            the current outer iteration; all clear between steps.
         relax_calls / improvements / iterations: exact counters.
 
     One run owns its state exclusively; states are never shared between runs.
@@ -58,20 +61,19 @@ class SsspState:
         self.dist: list[Optional[float]] = [None] * g.n
         self.pred: list[Optional[int]] = [None] * g.n
         self.dist[g.source] = 0.0
-        self.frontier: set[int] = {g.source}
+        self.frontier: list[int] = [g.source]
         self.changed_now = bytearray(g.n)
         self._changed_order: list[int] = []
         self.relax_calls = 0
         self.improvements = 0
         self.iterations = 0
 
-    def begin_iteration(self) -> None:
+    def end_iteration(self) -> None:
+        """Close an outer iteration: its changed vertices become the frontier."""
         for v in self._changed_order:
             self.changed_now[v] = 0
-        self._changed_order.clear()
-
-    def end_iteration(self) -> None:
-        self.frontier = set(self._changed_order)
+        self.frontier = self._changed_order
+        self._changed_order = []
         self.iterations += 1
 
 
@@ -82,14 +84,11 @@ class RunStats:
     relax_calls: int
     improvements: int
     iterations: int
-    terminated_early: bool
     negative_cycle: Optional[list[int]] = None
 
 
-def _stats(state: SsspState, terminated_early: bool,
-           negative_cycle: Optional[list[int]] = None) -> RunStats:
-    return RunStats(state.relax_calls, state.improvements, state.iterations,
-                    terminated_early, negative_cycle)
+def _stats(state: SsspState, negative_cycle: Optional[list[int]] = None) -> RunStats:
+    return RunStats(state.relax_calls, state.improvements, state.iterations, negative_cycle)
 
 
 def basic_passes(g: Graph, strict: bool = False,
@@ -104,10 +103,10 @@ def basic_passes(g: Graph, strict: bool = False,
         state = SsspState(g)
     dist, pred = state.dist, state.pred
     d = [nan if x is None else x for x in dist]
-    changed_now, changed_order = state.changed_now, state._changed_order
+    changed_now = state.changed_now
     edges, m = g.edges, g.m
     for _ in range(g.n - 1):
-        state.begin_iteration()
+        changed_order = state._changed_order
         skipped = imps = 0
         for u, v, w in edges:
             du = dist[u]
@@ -142,7 +141,6 @@ def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator
     no_key: list[Optional[int]] = [None] * n
     d = [nan if x is None else x for x in state.dist]
     while state.frontier:
-        state.begin_iteration()
         _drain_pass(list(state.frontier), range(n), adj, no_key, d, state)
         state.end_iteration()
         yield state
@@ -262,14 +260,11 @@ def yen_iterations(g: Graph, ordering: Ordering,
     down_vertex = up_vertex[::-1]
 
     d = [nan if x is None else x for x in state.dist]
-    changed_order = state._changed_order
-    while state.frontier:
-        state.begin_iteration()
-        frontier = state.frontier
+    while frontier := state.frontier:
         keys = [k for u in frontier if (k := up_key[u]) is not None]
         if keys:
             _drain_pass(keys, up_vertex, up_adj, up_key, d, state)
-        keys = [k for u in chain(frontier, changed_order) if (k := down_key[u]) is not None]
+        keys = [k for u in chain(frontier, state._changed_order) if (k := down_key[u]) is not None]
         if keys:
             _drain_pass(keys, down_vertex, down_adj, down_key, d, state)
         state.end_iteration()
@@ -294,7 +289,7 @@ def _drain_capped(g: Graph, state: SsspState, iterator: Iterator[SsspState],
                 stacklevel=3,
             )
             break
-    return state, _stats(state, terminated_early=not state.frontier)
+    return state, _stats(state)
 
 
 def run_basic(g: Graph, strict: bool = False) -> tuple[SsspState, RunStats]:
@@ -307,7 +302,7 @@ def run_basic(g: Graph, strict: bool = False) -> tuple[SsspState, RunStats]:
     state = SsspState(g)
     for _ in basic_passes(g, strict, state):
         pass
-    return state, _stats(state, terminated_early=False)
+    return state, _stats(state)
 
 
 def run_adaptive(g: Graph) -> tuple[SsspState, RunStats]:

@@ -165,7 +165,7 @@ def run_with_detection(
             if pp_cycle is not None:
                 cycle, _ = _extract_graph_cycle(g, pp_cycle)
                 verdict = CycleVerdict(True, cycle, t, st.relax_calls)
-                return st, _stats(st, terminated_early=False, negative_cycle=cycle), verdict
+                return st, _stats(st, cycle), verdict
         if t >= cap and st.frontier:
             # The fallback analysis promises a parent cycle by now whenever
             # relaxation has not converged; reaching this line is a defect.
@@ -175,7 +175,7 @@ def run_with_detection(
             )
 
     verdict = _self_loop_verdict(g, state)
-    return state, _stats(state, terminated_early=True, negative_cycle=verdict.cycle), verdict
+    return state, _stats(state, verdict.cycle), verdict
 
 
 def dense_relaxation_budget(n: int, c: float) -> float:

@@ -45,7 +45,6 @@ def reference_basic_passes(g: Graph, strict: bool = False):
     """Reference fixed-count driver: ``relax`` over every edge with a reached tail."""
     state = SsspState(g)
     for _ in range(g.n - 1):
-        state.begin_iteration()
         for u, v, w in g.edges:
             if state.dist[u] is None:
                 if strict:
@@ -61,7 +60,6 @@ def reference_adaptive_iterations(g: Graph):
     state = SsspState(g)
     adj = g.out_adjacency()
     while state.frontier:
-        state.begin_iteration()
         for u in sorted(state.frontier):
             for _, v, w in adj[u]:
                 relax(state, u, v, w)
@@ -85,10 +83,10 @@ def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
     passes = (([u for u in order if up_adj[u]], up_adj),
               ([u for u in reversed(order) if down_adj[u]], down_adj))
     while state.frontier:
-        state.begin_iteration()
+        frontier = set(state.frontier)
         for tails, adj in passes:
             for u in tails:
-                if u in state.frontier or state.changed_now[u]:
+                if u in frontier or state.changed_now[u]:
                     for _, v, w in adj[u]:
                         relax(state, u, v, w)
         state.end_iteration()

@@ -140,10 +140,50 @@ def test_cli_negative_cycle_paths(tmp_path, capsys):
     assert rc == 0
 
 
+def test_cli_check_oracle_failure_with_work_remaining_advises_a_command_that_runs(capsys):
+    # basic has no iteration cap; its run ends with distances still changing,
+    # and the advice is a detection run, which every input allows.
+    args = ["run", "--gen", "planted-cycle", "--n", "8", "--m", "12",
+            "--cycle-length", "3", "--cycle-weight", "-2", "--check-oracle"]
+    assert main([*args, "--algorithm", "basic"]) == 1
+    err = capsys.readouterr().err
+    assert "iteration cap" not in err
+    assert "stopped with distances still changing" in err
+    assert "(rerun with --algorithm randomized --detect-cycles)" in err
+    assert main([*args, "--algorithm", "randomized", "--detect-cycles"]) == 0
+
+
 def test_cli_detect_cycles_requires_randomized(capsys):
     rc = main(["run", "--gen", "path-worst-case", "--n", "6",
                "--algorithm", "basic", "--detect-cycles"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "yen", "randomized"])
+def test_cli_c_requires_detect_cycles(algorithm, capsys):
+    args = ["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", algorithm]
+    assert main([*args, "--c", "5"]) == 2
+    assert "--c" in capsys.readouterr().err
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[9] == "2.0"
+
+
+def test_cli_c_reaches_the_detection_record(capsys):
+    assert main(["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", "randomized",
+                 "--detect-cycles", "--c", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[9] == "5.0"
+
+
+def test_cli_has_no_random_yen_ordering(capsys):
+    # yen under a seeded random ordering is --algorithm randomized
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", "yen",
+              "--ordering", "random"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'random'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown ordering 'random'"):
+        run_trials(TrialConfig(graph=worst_case_path(6), algorithm="yen", seeds=[0],
+                               ordering="random"))
 
 
 # Each flag needs one algorithm, and the adversarial ordering needs the path;
@@ -153,7 +193,7 @@ def test_cli_detect_cycles_requires_randomized(capsys):
       for a in ("basic", "adaptive", "yen")),
     pytest.param("adaptive", {"strict_count": True}, worst_case_path(30), "--strict-count",
                  id="strict_count-adaptive"),
-    pytest.param("basic", {"ordering": "random"}, worst_case_path(30), "--ordering",
+    pytest.param("basic", {"ordering": "adversarial"}, worst_case_path(30), "--ordering",
                  id="ordering-basic"),
     pytest.param("yen", {"ordering": "adversarial"},
                  random_graph(GeneratorSpec(kind="random-sparse", n=6, m=9)), "adversarial",
@@ -284,7 +324,8 @@ def test_cli_empty_seed_range_exits_two(seeds, capsys):
 
 # --ordering needs --algorithm yen, and --strict-count needs basic.
 @pytest.mark.parametrize("algorithm, flags", [
-    *(pytest.param(a, ["--ordering", "random"], id=a) for a in ("basic", "adaptive", "randomized")),
+    *(pytest.param(a, ["--ordering", "adversarial"], id=a)
+      for a in ("basic", "adaptive", "randomized")),
     pytest.param("yen", ["--strict-count"], id="strict-count"),
 ])
 def test_cli_ordering_requires_yen(algorithm, flags, capsys):
