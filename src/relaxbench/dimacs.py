@@ -23,45 +23,56 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source`` is the 1-based external id of the source.
 
     Distinct diagnostics: missing problem line, arc-count mismatch, vertex id
-    out of range, non-integer weight, weight too large for a float.
+    out of range, non-integer weight, weight too large for a float.  Each
+    names its line number and, where the line is at fault, the line with
+    surrounding whitespace stripped.
+
+    The file is read as text and split on newlines, as iterating a text file
+    splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
+    ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` do not).  Each arc becomes the
+    canonical ``(int, int, float)`` tuple that ``Graph`` keeps as it is.
     """
+    with open(path, "r", encoding="ascii") as handle:
+        lines = handle.read().split("\n")
     n = m = None
     edges: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise DimacsFormatError(f"line {lineno}: duplicate problem line")
-                if len(parts) != 4 or parts[1] != "sp":
-                    raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}")
-                try:
-                    n, m = int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}") from None
-            elif parts[0] == "a":
-                if n is None:
-                    raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")
-                if len(parts) != 4:
-                    raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
-                try:
-                    w = float(int(parts[3]))
-                except ValueError:
-                    raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
-                except OverflowError:
-                    raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
-                if not 1 <= u <= n or not 1 <= v <= n:
-                    raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")
-                edges.append((u - 1, v - 1, w))
-            else:
-                raise DimacsFormatError(f"line {lineno}: unrecognized line {line!r}")
+    append = edges.append
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "a":
+            if n is None:
+                raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")
+            if len(parts) != 4:
+                raise DimacsFormatError(f"line {lineno}: malformed arc line {raw.strip()!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DimacsFormatError(f"line {lineno}: malformed arc line {raw.strip()!r}") from None
+            try:
+                w = float(int(parts[3]))
+            except ValueError:
+                raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
+            except OverflowError:
+                raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
+            if not 1 <= u <= n or not 1 <= v <= n:
+                raise DimacsFormatError(f"line {lineno}: vertex id out of range in {raw.strip()!r}")
+            append((u - 1, v - 1, w))
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise DimacsFormatError(f"line {lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "sp":
+                raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}") from None
+        else:
+            raise DimacsFormatError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise DimacsFormatError("missing problem line")
     if len(edges) != m:
@@ -72,10 +83,16 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
 
 
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:
-    """Write a graph with integer weights as a .gr file (ids shifted to 1-based)."""
+    """Write a graph with integral weights as a .gr file (ids shifted to 1-based).
+
+    The first edge whose weight is not integral raises ``ValueError`` and
+    nothing is written.  ``%d`` prints an integral float as ``int`` would,
+    every digit of it, up to the largest finite float.
+    """
     lines = [f"p sp {g.n} {g.m}"]
+    append = lines.append
     for u, v, w in g.edges:
-        if w != int(w):
+        if not w.is_integer():
             raise ValueError(f"DIMACS weights must be integers, got {w!r} on ({u}, {v})")
-        lines.append(f"a {u + 1} {v + 1} {int(w)}")
+        append("a %d %d %d" % (u + 1, v + 1, w))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -113,9 +113,8 @@ def basic_passes(g: Graph, strict: bool = False,
             if du is None:
                 skipped += 1
                 continue
-            alt = du + w
-            if not d[v] <= alt:
-                d[v] = dist[v] = alt
+            if not d[v] <= du + w:
+                d[v] = dist[v] = du + w
                 pred[v] = u
                 imps += 1
                 if not changed_now[v]:
@@ -168,12 +167,14 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
 
     The body reads ``d``, a shadow of ``state.dist`` with NaN where ``dist``
     holds None, and writes an improvement to both lists.  Its test
-    ``not d[v] <= alt`` is the rule's ``dv is None or dv > alt`` exactly:
+    ``not d[v] <= du + w`` is the rule's ``dv is None or dv > alt`` exactly:
     ``NaN <= x`` is false for every x, so an unreached head always improves,
     and for any other ``d[v]`` it is ``d[v] > alt`` because ``alt`` is never
     NaN: weights are finite and only reached tails are taken, so a sum that
     overflows is +-inf (an +inf shadow would fail here, as ``inf > inf`` is
-    false).
+    false).  The sum is computed again on an improvement, rather than kept
+    from the test, which is cheaper on the many edges that do not improve;
+    float addition is deterministic, so both give the same ``alt``.
 
     The work set takes one of two forms, picked from the starting size.  A
     narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
@@ -211,8 +212,8 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
         edges = adj[u]
         calls += len(edges)
         for _, v, w in edges:
-            alt = du + w
-            if not d[v] <= alt:
+            if not d[v] <= du + w:
+                alt = du + w
                 d[v] = dist[v] = alt
                 pred[v] = u
                 imps += 1

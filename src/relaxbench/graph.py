@@ -11,11 +11,11 @@ by scanning ``Graph.edges`` themselves.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import inf, isfinite
 from typing import Sequence, Tuple
 
 Edge = Tuple[int, int, float]  # (tail, head, weight)
@@ -27,6 +27,12 @@ class Graph:
 
     Parallel edges and self-loops are allowed.  Weights must be finite
     (no NaN or infinities).  Instances are safe to share across threads.
+
+    ``edges`` holds canonical ``(int, int, float)`` tuples.  An input edge that
+    is one already, a tuple whose endpoints have type exactly ``int`` and lie
+    in [0, n) and whose weight has type exactly ``float`` and is finite, is
+    kept as the same object, as the generators and ``load_dimacs`` build
+    them; any other edge is converted with ``int`` and ``float`` and checked.
     """
 
     n: int
@@ -34,26 +40,18 @@ class Graph:
     source: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        if not 0 <= self.source < self.n:
-            raise ValueError(f"source {self.source} out of range [0, {self.n})")
+        n = self.n
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        if not 0 <= self.source < n:
+            raise ValueError(f"source {self.source} out of range [0, {n})")
         canon = []
         for e in self.edges:
             u, v, w = e
-            try:
-                u, v = int(u), int(v)
-            except (OverflowError, ValueError):
-                raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
-            try:
-                w = float(w)
-            except OverflowError:
-                raise ValueError(f"edge ({u}, {v}) has a weight too large for a float") from None
-            if not 0 <= u < self.n or not 0 <= v < self.n:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w!r}")
-            canon.append((u, v, w))
+            if not (type(e) is tuple and type(u) is int and type(v) is int and type(w) is float
+                    and 0 <= u < n and 0 <= v < n and -inf < w < inf):
+                e = _canonical_edge(e, n)
+            canon.append(e)
         object.__setattr__(self, "edges", tuple(canon))
 
     @property
@@ -66,6 +64,24 @@ class Graph:
         for e in self.edges:
             adj[e[0]].append(e)
         return adj
+
+
+def _canonical_edge(e, n: int) -> Edge:
+    """Convert one edge to ``(int, int, float)``, refusing what ``Graph`` cannot hold."""
+    u, v, w = e
+    try:
+        u, v = int(u), int(v)
+    except (OverflowError, ValueError):
+        raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
+    try:
+        w = float(w)
+    except OverflowError:
+        raise ValueError(f"edge ({u}, {v}) has a weight too large for a float") from None
+    if not 0 <= u < n or not 0 <= v < n:
+        raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+    if not isfinite(w):
+        raise ValueError(f"edge ({u}, {v}) has non-finite weight {w!r}")
+    return u, v, w
 
 
 @dataclass(frozen=True)

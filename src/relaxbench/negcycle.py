@@ -71,18 +71,23 @@ def detect_cycle_in_parent_graph(parent: Sequence[Optional[int]]) -> Optional[Li
     return None
 
 
+def _check_c(c: float) -> None:
+    # NaN fails both comparisons, so it is refused with the infinities.
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+
+
 def iteration_threshold(n: int, c: float) -> int:
     """ceil(n/3 + 2 + sqrt(2*c*n*ln n)): first iteration worth checking.
 
     Beyond this many iterations, a run on a cycle-free input has corrected
     every shortest simple path except with probability about 1/n^(c-1), so
     continued work signals a negative cycle.  Natural logarithm throughout.
-    Requires n >= 2 and c > 0.
+    Requires n >= 2 and a positive, finite c.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    _check_c(c)
     return math.ceil(n / 3 + 2 + math.sqrt(2 * c * n * math.log(n)))
 
 
@@ -96,8 +101,10 @@ def detection_start(n: int, c: float) -> int:
 
     Normally ``iteration_threshold``; at desk-scale n the threshold's tail
     term exceeds the deterministic ceil(n/2) + 2 fallback, in which case the
-    fallback wins and the single check happens at the cap.
+    fallback wins and the single check happens at the cap.  ``c`` is checked
+    at every n, also below 2, where the first iteration is the one check.
     """
+    _check_c(c)
     if n < 2:
         return 1
     return min(iteration_threshold(n, c), iteration_cap(n))
@@ -182,8 +189,7 @@ def dense_relaxation_budget(n: int, c: float) -> float:
     """n^3/6 + sqrt(2)*n^(5/2)*sqrt(c*ln n): dense high-probability bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _check_c(c)
     return n**3 / 6 + math.sqrt(2) * n**2.5 * math.sqrt(c * math.log(n))
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: strategies, conversions, the reference relaxation rule and
-the drivers built on it, and independent checkers."""
+the drivers built on it, reference DIMACS reading and writing, and independent
+checkers."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from relaxbench import Graph, Ordering, SsspState, floyd_warshall
+from relaxbench.dimacs import DimacsFormatError
 from relaxbench.graph import rank_adjacency
 
 
@@ -249,3 +251,65 @@ def orderings_for(draw, g: Graph):
 # Weights whose sums leave the float range, so tentative distances reach
 # +-inf while every weight stays finite.
 overflow_weights = st.sampled_from((1e308, -1e308, 1.7e308, -1.7e308, -1.0, 0.0, 3.0))
+
+
+def reference_load_dimacs(path, source: int = 1) -> Graph:
+    """Reference .gr reader: text-mode line iteration, one line at a time.
+
+    ``load_dimacs`` must return an equal ``Graph``, or raise the same
+    exception with the same message, on every input.
+    """
+    n = m = None
+    edges: list[tuple[int, int, float]] = []
+    with open(path, "r", encoding="ascii") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise DimacsFormatError(f"line {lineno}: duplicate problem line")
+                if len(parts) != 4 or parts[1] != "sp":
+                    raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}")
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}") from None
+            elif parts[0] == "a":
+                if n is None:
+                    raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")
+                if len(parts) != 4:
+                    raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}")
+                try:
+                    u, v = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
+                try:
+                    w = float(int(parts[3]))
+                except ValueError:
+                    raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
+                except OverflowError:
+                    raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
+                if not 1 <= u <= n or not 1 <= v <= n:
+                    raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")
+                edges.append((u - 1, v - 1, w))
+            else:
+                raise DimacsFormatError(f"line {lineno}: unrecognized line {line!r}")
+    if n is None:
+        raise DimacsFormatError("missing problem line")
+    if len(edges) != m:
+        raise DimacsFormatError(f"arc count mismatch: problem line says {m}, file has {len(edges)}")
+    if not 1 <= source <= n:
+        raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
+    return Graph(n, tuple(edges), source=source - 1)
+
+
+def reference_dimacs_text(g: Graph) -> str:
+    """Reference .gr text of a graph with integral weights, through ``int(w)``."""
+    lines = [f"p sp {g.n} {g.m}"]
+    for u, v, w in g.edges:
+        if w != int(w):
+            raise ValueError(f"DIMACS weights must be integers, got {w!r} on ({u}, {v})")
+        lines.append(f"a {u + 1} {v + 1} {int(w)}")
+    return "\n".join(lines) + "\n"

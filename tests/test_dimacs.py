@@ -1,7 +1,14 @@
+import math
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxbench import GeneratorSpec, Graph, random_graph, worst_case_path
 from relaxbench.dimacs import DimacsFormatError, load_dimacs, write_dimacs
+
+from helpers import reference_dimacs_text, reference_load_dimacs
 
 
 def _load(tmp_path, text, **kwargs):
@@ -68,9 +75,15 @@ def test_unrecognized_and_duplicate_lines(tmp_path):
 
 
 def test_write_rejects_fractional_weights(tmp_path):
-    g = Graph(2, ((0, 1, 1.5),))
-    with pytest.raises(ValueError):
-        write_dimacs(g, tmp_path / "bad.gr")
+    g = Graph(3, ((0, 1, 1.0), (1, 2, 2.5), (2, 0, 0.5)))
+    path = tmp_path / "bad.gr"
+    with pytest.raises(ValueError) as excinfo:
+        write_dimacs(g, path)
+    with pytest.raises(ValueError) as expected:
+        reference_dimacs_text(g)
+    assert str(excinfo.value) == str(expected.value) == \
+        "DIMACS weights must be integers, got 2.5 on (1, 2)"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("spec", [
@@ -93,3 +106,100 @@ def test_round_trip_path_graph(tmp_path):
     path = tmp_path / "p.gr"
     write_dimacs(g, path)
     assert load_dimacs(path).edges == g.edges
+
+
+# Mutated .gr text: a well-formed file, then edits that each leave it valid or
+# break it in one way the reader must name.
+_SEPARATORS = (" ", "  ", "\t", " \x0b ", "\x0c", "\x1c", "\x1e", "\x1f")
+_BAD_TOKENS = ("+3", "-0", "1.5", "1e3", "0x10", "1_0", "nan", "inf", "--1", "7a",
+               str(10**400), str(-10**400), "1" * 5000)
+_JUNK_LINES = ("c", "c comment", "cfoo 1 2", "  c  indented", "", "   ", "\t", "\x0c", "\x0b",
+               "x 1 2", "ab 1 2 3", "pp sp 1 1", "p sp 2 1", "p sp x 2", "p xx 2 1", "p sp 2",
+               "a 1 2", "a 1 2 3 4", "a", "p", "\x1d", "a\x0c1 2 3")
+
+
+def _rarely(common, rare):
+    # Mostly ``common``, so that about a third of the files are well formed.
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else common)
+
+
+@st.composite
+def _mutated_dimacs(draw):
+    n = draw(st.integers(1, 5))
+    vertex = _rarely(st.integers(1, n), st.sampled_from((0, n + 1, -1))).map(str)
+    weight = _rarely(st.integers(-20, 20).map(str), st.sampled_from(_BAD_TOKENS))
+    arcs = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=6))
+    m = draw(_rarely(st.just(len(arcs)), st.integers(0, 8)))
+    lines = [["p", "sp", str(n), str(m)]] + [["a", *arc] for arc in arcs]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(("junk", "junk", "drop", "add", "swap")))
+        if kind == "junk":
+            lines.insert(at, [draw(st.sampled_from(_JUNK_LINES))])
+        elif at < len(lines) and len(lines[at]) > 1:
+            tokens = lines[at]
+            if kind == "drop":
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+            elif kind == "add":
+                tokens.append(draw(weight))
+            else:
+                tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    pad = st.sampled_from(("", "", " ", "\t", "\x0b", "\x0c", "\r"))
+    inside = _rarely(st.just(""), st.sampled_from(("\x0b", "\x0c", "\x1c", "\x1e", "\u00e9")))
+    text_lines = []
+    for tokens in lines:
+        line = draw(st.sampled_from(_SEPARATORS)).join(tokens)
+        cut = draw(st.integers(0, len(line)))
+        text_lines.append(draw(pad) + line[:cut] + draw(inside) + line[cut:] + draw(pad))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = newline.join(text_lines) + draw(st.sampled_from(("", "\n", "\r\n")))
+    source = draw(_rarely(st.just(1), st.integers(0, n + 1)))
+    return text.encode("utf-8"), source
+
+
+def _outcome(load, path, source):
+    try:
+        g = load(path, source=source)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    return g, [tuple(map(type, e)) for e in g.edges]
+
+
+@given(case=_mutated_dimacs())
+@settings(max_examples=400, deadline=None)
+def test_load_matches_the_line_by_line_reference(tmp_path_factory, case):
+    data, source = case
+    path = tmp_path_factory.getbasetemp() / "mutated.gr"
+    path.write_bytes(data)
+    got = _outcome(load_dimacs, path, source)
+    assert got == _outcome(reference_load_dimacs, path, source)
+    if isinstance(got[0], Graph):
+        assert all(types == (int, int, float) for types in got[1])
+
+
+def test_load_splits_only_on_newlines(tmp_path):
+    # Text-mode iteration ends a line at \n, \r\n or \r and nowhere else.
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, "p sp 2 2\na 1 2 3\x0ca 2 1 4\n")
+    assert str(excinfo.value) == "line 2: malformed arc line 'a 1 2 3\\x0ca 2 1 4'"
+    path = tmp_path / "cr.gr"
+    path.write_bytes(b"p sp 2 2\ra 1 2 3\r\nc x\r\n\ra 2 1 -4")
+    assert load_dimacs(path).edges == ((0, 1, 3.0), (1, 0, -4.0))
+    with pytest.raises(DimacsFormatError, match="line 2: non-integer weight '1e3'"):
+        _load(tmp_path, "p sp 2 1\r\na 1 2 1e3\r\n")
+
+
+_integral = st.one_of(
+    st.integers(-2**60, 2**60).map(float),
+    st.floats(-1e308, 1e308, allow_nan=False).map(lambda x: float(math.trunc(x))),
+    st.sampled_from((1e308, -1e308, sys.float_info.max, -sys.float_info.max, -0.0, 2.0**53 + 2)),
+)
+
+
+@given(weights=st.lists(_integral, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_write_matches_int_formatting(tmp_path_factory, weights):
+    g = Graph(3, tuple((k % 3, (k + 1) % 3, w) for k, w in enumerate(weights)))
+    path = tmp_path_factory.getbasetemp() / "written.gr"
+    write_dimacs(g, path)
+    assert path.read_bytes() == reference_dimacs_text(g).encode("ascii")

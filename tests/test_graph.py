@@ -44,6 +44,38 @@ def test_graph_rejects_an_endpoint_int_cannot_convert():
             Graph(2, ((0, bad, 1.0),))
 
 
+def test_graph_keeps_canonical_edges_and_converts_the_rest():
+    class Weight(float):
+        pass
+
+    kept = (0, 1, 2.5)
+    g = Graph(3, (kept, [1, 2, 3], (True, False, -1.0), (2, 2, 4), (0, 2, Weight(3.0))))
+    assert g.edges[0] is kept
+    assert g.edges == ((0, 1, 2.5), (1, 2, 3.0), (1, 0, -1.0), (2, 2, 4.0), (0, 2, 3.0))
+    assert all(type(e) is tuple and tuple(map(type, e)) == (int, int, float) for e in g.edges)
+
+
+@pytest.mark.parametrize("edge", [(0, 1, -0.0), (0, 1, "-0.0")])
+def test_graph_keeps_the_sign_of_a_zero_weight(edge):
+    assert math.copysign(1.0, Graph(2, (edge,)).edges[0][2]) == -1.0
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((0, 1, math.nan), "edge (0, 1) has non-finite weight nan"),
+    ((0, 1, math.inf), "edge (0, 1) has non-finite weight inf"),
+    ((1, 0, -math.inf), "edge (1, 0) has non-finite weight -inf"),
+    ((0, 1, 10**400), "edge (0, 1) has a weight too large for a float"),
+    ((0, 2, 1.0), "edge (0, 2) has an endpoint outside [0, 2)"),
+    ((-1, 0, 1.0), "edge (-1, 0) has an endpoint outside [0, 2)"),
+    ((True, 2, 1), "edge (1, 2) has an endpoint outside [0, 2)"),
+    ((0, math.nan, 1.0), "edge (0, nan, 1.0) has an endpoint that is not an integer"),
+])
+def test_graph_refuses_an_edge_it_cannot_hold(edge, message):
+    with pytest.raises(ValueError) as excinfo:
+        Graph(2, ((0, 1, 1.0), edge))
+    assert str(excinfo.value) == message
+
+
 def test_ordering_must_be_permutation():
     with pytest.raises(ValueError):
         Ordering((0, 0, 1))

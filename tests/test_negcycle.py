@@ -53,6 +53,14 @@ def test_iteration_threshold_values():
         iteration_threshold(10, 0.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -0.0, -5.0, math.inf, -math.inf, math.nan])
+def test_every_use_of_c_refuses_one_not_positive_and_finite(c):
+    for call in (lambda: iteration_threshold(10, c), lambda: detection_start(1, c),
+                 lambda: detection_start(10, c), lambda: dense_relaxation_budget(30, c)):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            call()
+
+
 def test_detection_start_falls_back_to_cap_at_desk_scale():
     # At small n the tail term exceeds the deterministic cap, so the cap wins.
     assert iteration_threshold(12, 2.0) > iteration_cap(12)
