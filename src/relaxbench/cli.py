@@ -38,6 +38,7 @@ from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
 from .graph import Graph, identity_ordering
 from .negcycle import run_with_detection
 from .oracle import certify, floyd_warshall
+from .permstats import check_c
 
 FORMATS = ("csv", "json-lines")
 
@@ -425,6 +426,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    check_c(args.c)  # before any output: a refused c prints no graph line
     g, label = _resolve_graph(args)
     oracle = floyd_warshall(g)
     print(f"graph: n={g.n} m={g.m} ({label})")

@@ -4,7 +4,10 @@ Includes the single-path family on which the randomized ordering analysis is
 tight, the rank pattern that forces the partitioned engine into its slowest
 alternating behaviour, random sparse/dense instances, and planted negative
 cycles that give detection tests their ground truth.  All randomness flows
-through ``random.Random(seed)``, so equal specs yield identical graphs.
+through ``random.Random(seed)``: the draws go straight to its ``getrandbits``
+with explicit rejection, and only the planted cycle's vertices come from
+``Random.sample``.  The seed -> graph map is pinned by tests and is the same
+on every supported Python version (3.10-3.13).
 """
 
 from __future__ import annotations
@@ -124,12 +127,6 @@ class GeneratorSpec:
         return "gen:" + ";".join(parts)
 
 
-def _decode_pair(idx: int, n: int) -> tuple[int, int]:
-    # Index the n*(n-1) ordered pairs (u, v), u != v.
-    u, r = divmod(idx, n - 1)
-    return u, r if r < u else r + 1
-
-
 def random_graph(spec: GeneratorSpec) -> Graph:
     """Build a seeded random instance; equal specs give identical graphs.
 
@@ -138,16 +135,25 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     comes first.  The planted-cycle kind appends cycle_length extra edges
     whose weights are 1 except for the closing edge, which makes the total
     equal cycle_weight.
+
+    Every uniform draw below k is inlined as CPython's own: ``getrandbits``
+    on k's bit width, rejected while >= k (so k = 1 still consumes draws).
+    The draws are therefore the ones ``randint``, ``randrange`` and
+    ``shuffle`` make, without their per-call wrappers.
     """
     if spec.kind == "path-worst-case":
         raise ValueError(f"{spec.kind} is deterministic; use build_graph")
     rng = random.Random(spec.seed)
+    getrandbits = rng.getrandbits
     n = spec.n
     base_m = spec.base_edge_count()
     full = n * (n - 1)
     reachable = spec.ensure_reachable or spec.kind == "planted-cycle"
     if reachable and n > 1 and base_m < n - 1:
         raise ValueError("reachable instance needs at least n-1 base edges")
+    lo = spec.weight_min
+    span = spec.weight_max - lo + 1
+    span_bits = span.bit_length()
 
     edges: list[Edge] = []
     if base_m == full:
@@ -155,24 +161,43 @@ def random_graph(spec: GeneratorSpec) -> Graph:
         for u in range(n):
             for v in range(n):
                 if u != v:
-                    edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+                    r = getrandbits(span_bits)
+                    while r >= span:
+                        r = getrandbits(span_bits)
+                    edges.append((u, v, float(lo + r)))
     else:
         if reachable and n > 1:
+            # Fisher-Yates over 1..n-1, then attach each to a uniform earlier vertex.
             attach_order = list(range(1, n))
-            rng.shuffle(attach_order)
+            for i in range(n - 2, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                attach_order[i], attach_order[j] = attach_order[j], attach_order[i]
             connected = [0]
-            for v in attach_order:
-                parent = connected[rng.randrange(len(connected))]
-                edges.append((parent, v, 0.0))
+            for k, v in enumerate(attach_order, start=1):
+                bits = k.bit_length()
+                j = getrandbits(bits)
+                while j >= k:
+                    j = getrandbits(bits)
+                edges.append((connected[j], v, 0.0))
                 connected.append(v)
+        # Pair (u, v), u != v, has index u*(n-1) + v, less one when v > u.
         used = {u * (n - 1) + (v - 1 if v > u else v) for u, v, _ in edges}
+        full_bits = full.bit_length()
         while len(edges) < base_m:
-            idx = rng.randrange(full)
+            idx = getrandbits(full_bits)
+            while idx >= full:
+                idx = getrandbits(full_bits)
             if idx in used:
                 continue
             used.add(idx)
-            u, v = _decode_pair(idx, n)
-            edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+            u, v = divmod(idx, n - 1)
+            r = getrandbits(span_bits)
+            while r >= span:
+                r = getrandbits(span_bits)
+            edges.append((u, v if v < u else v + 1, float(lo + r)))
 
     if spec.kind == "planted-cycle":
         length = spec.cycle_length

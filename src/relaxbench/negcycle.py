@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
 from .graph import Graph, random_ordering
+from .permstats import check_c
 
 
 @dataclass
@@ -71,12 +72,6 @@ def detect_cycle_in_parent_graph(parent: Sequence[Optional[int]]) -> Optional[Li
     return None
 
 
-def _check_c(c: float) -> None:
-    # NaN fails both comparisons, so it is refused with the infinities.
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
-
-
 def iteration_threshold(n: int, c: float) -> int:
     """ceil(n/3 + 2 + sqrt(2*c*n*ln n)): first iteration worth checking.
 
@@ -87,7 +82,7 @@ def iteration_threshold(n: int, c: float) -> int:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _check_c(c)
+    check_c(c)
     return math.ceil(n / 3 + 2 + math.sqrt(2 * c * n * math.log(n)))
 
 
@@ -104,7 +99,7 @@ def detection_start(n: int, c: float) -> int:
     fallback wins and the single check happens at the cap.  ``c`` is checked
     at every n, also below 2, where the first iteration is the one check.
     """
-    _check_c(c)
+    check_c(c)
     if n < 2:
         return 1
     return min(iteration_threshold(n, c), iteration_cap(n))
@@ -189,7 +184,7 @@ def dense_relaxation_budget(n: int, c: float) -> float:
     """n^3/6 + sqrt(2)*n^(5/2)*sqrt(c*ln n): dense high-probability bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_c(c)
+    check_c(c)
     return n**3 / 6 + math.sqrt(2) * n**2.5 * math.sqrt(c * math.log(n))
 
 

@@ -31,15 +31,22 @@ def count_local_minima(values: Sequence[float]) -> int:
     )
 
 
+def check_c(c: float) -> None:
+    """Refuse a confidence exponent c that is not positive and finite."""
+    # NaN fails both comparisons, so it is refused with the infinities.
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+
+
 def local_minima_tail_threshold(n: int, c: float) -> float:
     """(n-2)/3 + sqrt(2*c*n*ln n): exceeded with probability at most 1/n^c.
 
-    Uses the natural logarithm.  Requires n >= 3 (no interior otherwise).
+    Uses the natural logarithm.  Requires n >= 3 (no interior otherwise)
+    and a positive, finite c.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    check_c(c)
     return (n - 2) / 3 + math.sqrt(2 * c * n * math.log(n))
 
 

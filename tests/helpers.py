@@ -1,10 +1,11 @@
 """Shared test utilities: strategies, conversions, the reference relaxation rule and
-the drivers built on it, reference DIMACS reading and writing, and independent
-checkers."""
+the drivers built on it, reference DIMACS reading and writing, the reference
+random generator, and independent checkers."""
 
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations
 from typing import Optional
 
@@ -313,3 +314,48 @@ def reference_dimacs_text(g: Graph) -> str:
             raise ValueError(f"DIMACS weights must be integers, got {w!r} on ({u}, {v})")
         lines.append(f"a {u + 1} {v + 1} {int(w)}")
     return "\n".join(lines) + "\n"
+
+
+def reference_random_graph(spec) -> Graph:
+    """Reference generator: ``random_graph`` as written with ``Random``'s convenience calls.
+
+    ``randint``, ``randrange``, ``shuffle`` and ``sample`` make every draw;
+    ``random_graph`` must return equal edges for every spec.
+    """
+    rng = random.Random(spec.seed)
+    n = spec.n
+    base_m = spec.base_edge_count()
+    full = n * (n - 1)
+    reachable = spec.ensure_reachable or spec.kind == "planted-cycle"
+    edges: list[tuple[int, int, float]] = []
+    if base_m == full:
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+    else:
+        if reachable and n > 1:
+            attach_order = list(range(1, n))
+            rng.shuffle(attach_order)
+            connected = [0]
+            for v in attach_order:
+                parent = connected[rng.randrange(len(connected))]
+                edges.append((parent, v, 0.0))
+                connected.append(v)
+        used = {u * (n - 1) + (v - 1 if v > u else v) for u, v, _ in edges}
+        while len(edges) < base_m:
+            idx = rng.randrange(full)
+            if idx in used:
+                continue
+            used.add(idx)
+            u, r = divmod(idx, n - 1)
+            v = r if r < u else r + 1
+            edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+    if spec.kind == "planted-cycle":
+        length = spec.cycle_length
+        cycle_vertices = rng.sample(range(n), length)
+        closing = float(spec.cycle_weight - (length - 1))
+        for i in range(length):
+            w = closing if i == length - 1 else 1.0
+            edges.append((cycle_vertices[i], cycle_vertices[(i + 1) % length], w))
+    return Graph(n, tuple(edges), source=0)

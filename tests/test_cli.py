@@ -179,12 +179,14 @@ def test_cli_c_reaches_the_detection_record(capsys):
     *((command, 2, c) for command in ("run", "verify") for c in ("inf", "-inf", "nan"))])
 def test_cli_refuses_c_that_is_not_positive_and_finite(tmp_path, capsys, command, n, c):
     # One vertex used to skip the check; inf and nan used to escape as other errors.
+    # A refused c writes nothing to stdout: verify used to print its graph line first.
     path = tmp_path / "g.gr"
     path.write_text("p sp 1 0\n" if n == 1 else "p sp 2 1\na 1 2 3\n")
     args = ["--algorithm", "randomized", "--detect-cycles"] if command == "run" else []
     assert main([command, "--input", str(path), *args, f"--c={c}"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1] == f"error: c must be positive and finite, got {float(c)}"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: c must be positive and finite, got {float(c)}"
 
 
 def test_cli_has_no_random_yen_ordering(capsys):

@@ -1,7 +1,10 @@
+import hashlib
 import math
 import statistics
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relaxbench import (
     GeneratorSpec,
@@ -19,7 +22,12 @@ from relaxbench import (
     worst_case_path,
 )
 
-from helpers import all_orderings, reachable_from_source, shortest_simple_path_lengths
+from helpers import (
+    all_orderings,
+    reachable_from_source,
+    reference_random_graph,
+    shortest_simple_path_lengths,
+)
 
 
 def test_worst_case_path_shape():
@@ -88,6 +96,52 @@ def test_random_graph_is_deterministic():
     assert random_graph(spec).edges == random_graph(spec).edges
     other = GeneratorSpec(kind="random-sparse", n=9, m=16, seed=6)
     assert random_graph(other).edges != random_graph(spec).edges
+
+
+@st.composite
+def random_specs(draw):
+    """Specs of every random kind, n in [1, 40], sized by m or by density."""
+    kind = draw(st.sampled_from(("random-sparse", "random-dense", "planted-cycle")))
+    n = draw(st.integers(1, 40))
+    ensure_reachable = draw(st.booleans())
+    # Spans of 1 and 10, and spans past 2**32 that take multi-word getrandbits.
+    span = draw(st.sampled_from((1, 10)) | st.integers(2, 2**70))
+    weight_min = draw(st.integers(-2**40, 5))
+    extra = {}
+    if kind != "random-dense":
+        full = n * (n - 1)
+        low = n - 1 if ensure_reachable or kind == "planted-cycle" else 0
+        if draw(st.booleans()):
+            extra["m"] = draw(st.integers(low, full))
+        else:
+            extra["density"] = draw(st.floats(0.0, 1.0))
+            assume(round(extra["density"] * full) >= low)
+    if kind == "planted-cycle":
+        extra["cycle_length"] = draw(st.integers(1, n))
+        extra["cycle_weight"] = draw(st.integers(-5, -1))
+    return GeneratorSpec(kind=kind, n=n, weight_min=weight_min, weight_max=weight_min + span - 1,
+                         seed=draw(st.integers(0, 2**32)), ensure_reachable=ensure_reachable,
+                         **extra)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_specs())
+def test_random_graph_matches_the_convenience_call_reference(spec):
+    assert random_graph(spec).edges == reference_random_graph(spec).edges
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GeneratorSpec(kind="random-sparse", n=2000, m=10000, weight_min=0, weight_max=9, seed=0,
+                   ensure_reachable=True),
+     "086c2e173de93812a5bc0c642841e50d38875e9e07410f8d7bf47fd5505863d9"),
+    (GeneratorSpec(kind="planted-cycle", n=150, m=150 * 149, weight_min=0, weight_max=9, seed=0,
+                   cycle_length=5, cycle_weight=-1),
+     "f9012b43cc9096107ae91e91b361a27dbf71793aa970ccc7b64126491836285f"),
+])
+def test_seed_to_graph_map_is_pinned(spec, digest):
+    # The benchmark's sparse-2000 and dense-detect-cli seed-0 instances.
+    edges = build_graph(spec).edges
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
 
 def test_random_graph_respects_bounds_and_simplicity():

@@ -57,6 +57,12 @@ def test_tail_threshold_rejects_bad_args():
         local_minima_tail_threshold(10, 0.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_tail_threshold_refuses_c_that_is_not_positive_and_finite(c):
+    with pytest.raises(ValueError, match=f"c must be positive and finite, got {c}"):
+        local_minima_tail_threshold(10, c)
+
+
 def test_tail_exceedance_frequency_matches_bound():
     # n=50, c=1: P(count > threshold) <= 1/50; check the empirical rate.
     n, c, trials = 50, 1.0, 100_000
