@@ -38,7 +38,6 @@ from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
 from .graph import Graph, identity_ordering
 from .negcycle import run_with_detection
 from .oracle import certify, floyd_warshall
-from .permstats import check_c
 
 FORMATS = ("csv", "json-lines")
 
@@ -426,11 +425,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    check_c(args.c)  # before any output: a refused c prints no graph line
     g, label = _resolve_graph(args)
     oracle = floyd_warshall(g)
+    _, _, verdict = run_with_detection(g, args.seed)  # before any output: it refuses a bad seed
     print(f"graph: n={g.n} m={g.m} ({label})")
-    _, _, verdict = run_with_detection(g, args.seed, args.c)
     failures = 0
     if oracle.has_reachable_negative_cycle:
         ok = verdict.found
@@ -491,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check every engine against the exact oracle")
     _add_graph_source_args(p_ver)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--c", type=float, default=2.0)
     p_ver.add_argument("--fail-on-cycle", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -23,9 +23,9 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source`` is the 1-based external id of the source.
 
     Distinct diagnostics: missing problem line, arc-count mismatch, vertex id
-    out of range, non-integer weight, weight too large for a float.  Each
-    names its line number and, where the line is at fault, the line with
-    surrounding whitespace stripped.
+    out of range, non-integer weight, weight too large for a float, non-ASCII
+    byte.  Each names its line number and, where the line is at fault, the
+    line with surrounding whitespace stripped.
 
     The file is read as text and split on newlines, as iterating a text file
     splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
@@ -33,7 +33,13 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     canonical ``(int, int, float)`` tuple that ``Graph`` keeps as it is.
     """
     with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().split("\n")
+        try:
+            lines = handle.read().split("\n")
+        except UnicodeDecodeError as exc:  # exc.object: the whole file, as read() decodes it
+            data, at = exc.object, exc.start
+            lineno = (data.count(b"\n", 0, at) + data.count(b"\r", 0, at)
+                      - data.count(b"\r\n", 0, at) + 1)
+            raise DimacsFormatError(f"line {lineno}: non-ASCII byte 0x{data[at]:02x}") from None
     n = m = None
     edges: list[tuple[int, int, float]] = []
     append = edges.append

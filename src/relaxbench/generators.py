@@ -13,10 +13,11 @@ on every supported Python version (3.10-3.13).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .graph import Edge, Graph, Ordering
+from .graph import Edge, Graph, Ordering, _shuffle
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
@@ -60,8 +61,9 @@ class GeneratorSpec:
     ordered pair.  Only planted-cycle takes the cycle fields; a field the
     kind ignores raises ``ValueError``.  ``ensure_reachable`` adds
     a zero-weight spanning arborescence before the random edges, so it needs
-    m >= n-1.  Planted cycles are appended after the base edges (parallel
-    edges are legal) and are always made reachable from the source.
+    m >= n-1.  Planted-cycle instances always get one, so they need m >= n-1
+    too; their cycle is appended after the base edges (parallel edges are
+    legal) and is therefore reachable from the source.
     """
 
     kind: str
@@ -80,12 +82,20 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            # Random(-s) seeds as Random(s) does: one graph under two labels.
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.weight_min > self.weight_max:
             raise ValueError("weight_min must be <= weight_max")
+        for name in ("weight_min", "weight_max", "cycle_weight"):
+            if abs(getattr(self, name) or 0) > sys.float_info.max:
+                raise ValueError(f"{name} is too large for a float weight")
         if self.kind in ("path-worst-case", "random-dense") and (self.m, self.density) != (None, None):
             raise ValueError(f"{self.kind} takes neither m nor density")
         if None not in (self.m, self.density):
             raise ValueError("m and density are alternatives; give one")
+        if self.density is not None and not 0 <= self.density <= 1:
+            raise ValueError(f"density must be in [0, 1], got {self.density}")
         if self.kind != "planted-cycle" and (self.cycle_length, self.cycle_weight) != (None, None):
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
@@ -95,8 +105,9 @@ class GeneratorSpec:
         base = self.base_edge_count()
         if not 0 <= base <= self.n * (self.n - 1):
             raise ValueError(f"edge count {base} outside [0, n*(n-1)]")
-        if self.ensure_reachable and base < self.n - 1:
-            raise ValueError("ensure_reachable needs at least n-1 edges")
+        if (self.ensure_reachable or self.kind == "planted-cycle") and base < self.n - 1:
+            raise ValueError(f"a reachable instance (ensure_reachable or planted-cycle) needs "
+                             f"at least n-1 = {self.n - 1} base edges, got {base}")
         if self.kind == "planted-cycle":
             if self.cycle_length is None or self.cycle_weight is None:
                 raise ValueError("planted-cycle needs cycle_length and cycle_weight")
@@ -149,8 +160,6 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     base_m = spec.base_edge_count()
     full = n * (n - 1)
     reachable = spec.ensure_reachable or spec.kind == "planted-cycle"
-    if reachable and n > 1 and base_m < n - 1:
-        raise ValueError("reachable instance needs at least n-1 base edges")
     lo = spec.weight_min
     span = spec.weight_max - lo + 1
     span_bits = span.bit_length()
@@ -167,14 +176,9 @@ def random_graph(spec: GeneratorSpec) -> Graph:
                     edges.append((u, v, float(lo + r)))
     else:
         if reachable and n > 1:
-            # Fisher-Yates over 1..n-1, then attach each to a uniform earlier vertex.
+            # Shuffle 1..n-1, then attach each to a uniform earlier vertex.
             attach_order = list(range(1, n))
-            for i in range(n - 2, 0, -1):
-                bits = (i + 1).bit_length()
-                j = getrandbits(bits)
-                while j > i:
-                    j = getrandbits(bits)
-                attach_order[i], attach_order[j] = attach_order[j], attach_order[i]
+            _shuffle(attach_order, getrandbits)
             connected = [0]
             for k, v in enumerate(attach_order, start=1):
                 bits = k.bit_length()
@@ -219,24 +223,20 @@ def build_graph(spec: GeneratorSpec) -> Graph:
     return random_graph(spec)
 
 
-def complete_over_path(n: int, heavy: Optional[float] = None) -> Graph:
+def complete_over_path(n: int) -> Graph:
     """Complete digraph whose only shortest paths are the unit-weight path.
 
-    Path edges i -> i+1 keep weight 1; every other ordered pair gets a weight
-    (default n) too heavy to ever lie on a shortest path, so the shortest-path
-    tree is still the single path while the instance is fully dense.
+    Path edges i -> i+1 keep weight 1; every other ordered pair gets weight n,
+    more than the longest path distance, so the shortest-path tree is still
+    the single path while the instance is fully dense.
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    if heavy is None:
-        heavy = float(n)
-    if heavy <= n - 1:
-        raise ValueError("heavy weight must exceed the longest path distance")
     edges = []
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            w = 1.0 if v == u + 1 else float(heavy)
+            w = 1.0 if v == u + 1 else float(n)
             edges.append((u, v, w))
     return Graph(n, tuple(edges), source=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import inf, isfinite
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 Edge = Tuple[int, int, float]  # (tail, head, weight)
 
@@ -178,6 +178,16 @@ def identity_ordering(g: Graph) -> Ordering:
     return Ordering(tuple(rank))
 
 
+def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
+    """Fisher-Yates in place, drawing from ``getrandbits`` as ``Random.shuffle`` does."""
+    for i in range(len(items) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
 def random_ordering(g: Graph, seed: int) -> Ordering:
     """Seeded uniform ordering with the source pinned at rank 0.
 
@@ -190,15 +200,8 @@ def random_ordering(g: Graph, seed: int) -> Ordering:
     """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    getrandbits = random.Random(seed).getrandbits
     others = [v for v in range(g.n) if v != g.source]
-    for i in range(len(others) - 1, 0, -1):
-        # Unbiased uniform draw from [0, i] by rejection on the minimal bit width.
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
-        others[i], others[j] = others[j], others[i]
+    _shuffle(others, random.Random(seed).getrandbits)
     rank = [0] * g.n
     for pos, v in enumerate(others, start=1):
         rank[v] = pos

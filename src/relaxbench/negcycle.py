@@ -27,20 +27,15 @@ from .permstats import check_c
 
 @dataclass
 class CycleVerdict:
-    """Outcome of a detection run.
+    """What a detection run's ``RunStats`` cannot say: whether it declared a cycle.
 
-    When ``found`` is true and a certificate exists, ``cycle`` lists vertices
-    of a closed walk in the input graph whose edge-weight sum is strictly
-    negative (consecutive pairs, wrapping around, are graph edges).  The
-    budget-based dense detector reports ``found`` without a certificate.
-    ``distances`` carries the final tentative distances on a "none" verdict.
+    The certificate, if any, is ``RunStats.negative_cycle``; the budget-based
+    dense detector declares a cycle with none.  ``iterations_used`` equals
+    ``RunStats.iterations``; only the benchmark's replay still reads it.
     """
 
     found: bool
-    cycle: Optional[List[int]]
     iterations_used: int
-    relax_calls_used: int
-    distances: Optional[List[Optional[float]]] = None
 
 
 def detect_cycle_in_parent_graph(parent: Sequence[Optional[int]]) -> Optional[List[int]]:
@@ -105,15 +100,12 @@ def detection_start(n: int, c: float) -> int:
     return min(iteration_threshold(n, c), iteration_cap(n))
 
 
-def _self_loop_verdict(g: Graph, state: SsspState) -> CycleVerdict:
-    # The verdict on a converged run.  No pass relaxes a self-loop, so a
+def _negative_self_loop(g: Graph, dist: Sequence[Optional[float]]) -> Optional[List[int]]:
+    # The certificate on a converged run.  No pass relaxes a self-loop, so a
     # negative self-loop on a reached vertex is the one reachable negative
     # cycle left to report; the smallest such vertex is the certificate.
-    dist = state.dist
     loops = [u for u, v, w in g.edges if u == v and w < 0 and dist[u] is not None]
-    if loops:
-        return CycleVerdict(True, [min(loops)], state.iterations, state.relax_calls)
-    return CycleVerdict(False, None, state.iterations, state.relax_calls, distances=list(dist))
+    return [min(loops)] if loops else None
 
 
 def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> tuple[List[int], float]:
@@ -152,9 +144,10 @@ def run_with_detection(
 
     Checks start at ``detection_start(n, c)``.  A found parent cycle is
     mapped back to graph edges, verified strictly negative, and returned as
-    the certificate.  If the engine converges instead, reached vertices are
-    scanned for negative self-loops before declaring the graph cycle-free.
-    Never runs past ``iteration_cap(n)`` iterations.
+    the certificate ``stats.negative_cycle``.  If the engine converges
+    instead, reached vertices are scanned for negative self-loops before
+    declaring the graph cycle-free.  Never runs past ``iteration_cap(n)``
+    iterations.
     """
     ordering = random_ordering(g, seed)
     cap = iteration_cap(g.n)
@@ -166,8 +159,7 @@ def run_with_detection(
             pp_cycle = detect_cycle_in_parent_graph(st.pred)
             if pp_cycle is not None:
                 cycle, _ = _extract_graph_cycle(g, pp_cycle)
-                verdict = CycleVerdict(True, cycle, t, st.relax_calls)
-                return st, _stats(st, cycle), verdict
+                return st, _stats(st, cycle), CycleVerdict(True, t)
         if t >= cap and st.frontier:
             # The fallback analysis promises a parent cycle by now whenever
             # relaxation has not converged; reaching this line is a defect.
@@ -176,8 +168,8 @@ def run_with_detection(
                 "has not converged"
             )
 
-    verdict = _self_loop_verdict(g, state)
-    return state, _stats(state, verdict.cycle), verdict
+    cycle = _negative_self_loop(g, state.dist)
+    return state, _stats(state, cycle), CycleVerdict(cycle is not None, state.iterations)
 
 
 def dense_relaxation_budget(n: int, c: float) -> float:
@@ -188,20 +180,22 @@ def dense_relaxation_budget(n: int, c: float) -> float:
     return n**3 / 6 + math.sqrt(2) * n**2.5 * math.sqrt(c * math.log(n))
 
 
-def monte_carlo_dense_detect(g: Graph, seed: int, c: float = 2.0) -> CycleVerdict:
+def monte_carlo_dense_detect(g: Graph, seed: int,
+                             c: float = 2.0) -> tuple[SsspState, RunStats, CycleVerdict]:
     """Budget-based one-sided detector for dense graphs.
 
     Runs the randomized engine and declares a negative cycle (no certificate)
     as soon as the relaxation count exceeds ``dense_relaxation_budget``; the
     budget is checked after each outer iteration.  Termination within budget
     yields a "none" verdict, which is always correct; a "cycle" verdict errs
-    with probability at most 1/n^(c-1).  Reachable negative self-loops are
-    reported with a certificate since the engine never relaxes them.
+    with probability at most 1/n^(c-1).  Reachable negative self-loops get a
+    certificate, ``stats.negative_cycle``, since the engine never relaxes them.
     """
     budget = dense_relaxation_budget(g.n, c)
     ordering = random_ordering(g, seed)
     state = SsspState(g)
     for st in yen_iterations(g, ordering, state):
         if st.relax_calls > budget:
-            return CycleVerdict(True, None, st.iterations, st.relax_calls)
-    return _self_loop_verdict(g, state)
+            return st, _stats(st), CycleVerdict(True, st.iterations)
+    cycle = _negative_self_loop(g, state.dist)
+    return state, _stats(state, cycle), CycleVerdict(cycle is not None, state.iterations)

@@ -32,7 +32,6 @@ class OracleResult:
     dist: List[List[float]]
     has_reachable_negative_cycle: bool
     sp_edges: List[Edge]
-    source: int
 
 
 def floyd_warshall(g: Graph) -> OracleResult:
@@ -71,7 +70,7 @@ def floyd_warshall(g: Graph) -> OracleResult:
         for u, v, w in g.edges
         if u != v and row_s[u] < inf and row_s[u] + w == row_s[v]
     ]
-    return OracleResult(dist, has_cycle, sp_edges, s)
+    return OracleResult(dist, has_cycle, sp_edges)
 
 
 def _reached_from(adj: List[List[int]], s: int) -> bytearray:

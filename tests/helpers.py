@@ -4,9 +4,11 @@ random generator, and independent checkers."""
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from itertools import permutations
+from pathlib import Path
 from typing import Optional
 
 from hypothesis import assume
@@ -260,6 +262,13 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
     ``load_dimacs`` must return an equal ``Graph``, or raise the same
     exception with the same message, on every input.
     """
+    data = Path(path).read_bytes()
+    bad = next((i for i, byte in enumerate(data) if byte > 0x7F), None)
+    if bad is not None:
+        # A prefix that ends with a line end puts the bad byte on the next line.
+        lines = io.StringIO(data[:bad].decode("ascii"), newline=None).readlines()
+        lineno = len(lines) + (not lines or lines[-1].endswith("\n"))
+        raise DimacsFormatError(f"line {lineno}: non-ASCII byte 0x{data[bad]:02x}")
     n = m = None
     edges: list[tuple[int, int, float]] = []
     with open(path, "r", encoding="ascii") as handle:

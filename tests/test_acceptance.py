@@ -169,8 +169,8 @@ def test_criterion_08_negative_cycle_detection():
     for seed in range(trials):
         g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, m=24,
                                        seed=seed, cycle_length=3, cycle_weight=-1))
-        _, _, verdict = run_with_detection(g, seed, c=2.0)
-        cycle = verdict.cycle
+        _, stats, verdict = run_with_detection(g, seed, c=2.0)
+        cycle = stats.negative_cycle
         ok = verdict.found and verdict.iterations_used <= cap and cycle
         if ok:
             pairs = {}
@@ -209,13 +209,13 @@ def test_criterion_09_monte_carlo_dense_detector():
     for seed in range(trials):
         g = random_graph(GeneratorSpec(kind="random-dense", n=n, weight_min=0,
                                        weight_max=9, seed=seed))
-        false_cycles += monte_carlo_dense_detect(g, seed, c=2.0).found
+        false_cycles += monte_carlo_dense_detect(g, seed, c=2.0)[2].found
     missed = 0
     for seed in range(trials):
         g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, density=1.0,
                                        weight_min=0, weight_max=9, seed=seed,
                                        cycle_length=3, cycle_weight=-1))
-        missed += not monte_carlo_dense_detect(g, seed, c=2.0).found
+        missed += not monte_carlo_dense_detect(g, seed, c=2.0)[2].found
     _report(9, "monte carlo dense detector", false_cycles == 0 and missed == 0,
             f"({trials} cycle-free: {false_cycles} false verdicts; "
             f"{trials} planted: {trials - missed} detected)")

@@ -1,18 +1,23 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxbench import GeneratorSpec, cli, random_graph, run_randomized, worst_case_path
 from relaxbench.cli import (
+    ALGORITHMS,
     CSV_HEADER,
     ENGINES,
     OracleMismatchError,
@@ -23,6 +28,7 @@ from relaxbench.cli import (
     run_trials,
 )
 from relaxbench.dimacs import load_dimacs, write_dimacs
+from relaxbench.generators import KINDS
 
 
 def _record(**overrides):
@@ -175,14 +181,13 @@ def test_cli_c_reaches_the_detection_record(capsys):
 
 
 @pytest.mark.parametrize("command, n, c", [
-    ("run", 1, "-5"), ("run", 1, "0"), ("verify", 1, "-5"),
-    *((command, 2, c) for command in ("run", "verify") for c in ("inf", "-inf", "nan"))])
+    ("run", 1, "-5"), ("run", 1, "0"), *(("run", 2, c) for c in ("inf", "-inf", "nan"))])
 def test_cli_refuses_c_that_is_not_positive_and_finite(tmp_path, capsys, command, n, c):
     # One vertex used to skip the check; inf and nan used to escape as other errors.
-    # A refused c writes nothing to stdout: verify used to print its graph line first.
+    # A refused c writes nothing to stdout.
     path = tmp_path / "g.gr"
     path.write_text("p sp 1 0\n" if n == 1 else "p sp 2 1\na 1 2 3\n")
-    args = ["--algorithm", "randomized", "--detect-cycles"] if command == "run" else []
+    args = ["--algorithm", "randomized", "--detect-cycles"]
     assert main([command, "--input", str(path), *args, f"--c={c}"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -321,6 +326,23 @@ def test_cli_generator_flag_the_kind_ignores_exits_two(capsys):
                "--cycle-length", "3", "--algorithm", "randomized"])
     assert rc == 2
     assert "path-worst-case takes neither m nor density" in capsys.readouterr().err
+
+
+def test_cli_negative_graph_seed_exits_two(capsys):
+    rc = main(["run", "--gen", "random-sparse", "--n", "6", "--m", "10",
+               "--graph-seed", "-3", "--algorithm", "randomized"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -3\n"
+
+
+def test_cli_verify_refuses_a_negative_seed_before_any_output(capsys):
+    # verify used to print its graph line before the detector refused the seed.
+    assert main(["verify", "--gen", "path-worst-case", "--n", "4", "--seed=-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer\n"
 
 
 def test_cli_seeds_syntax_errors(capsys):
@@ -533,3 +555,106 @@ def test_run_trials_reports_a_killed_worker(monkeypatch, two_cpus):
     config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
     with pytest.raises(RuntimeError, match="seed 1 exited with code -9"):
         run_trials(config)
+
+
+# The exit-code contract over hostile input.  Every graph has at most 8
+# vertices and every seed range at most 4 seeds, so seeds * m stays far below
+# PARALLEL_MIN_EDGE_TRIALS and no batch forks.  No problem line declares a huge
+# vertex count: the engines allocate per vertex.
+_MUTANTS = ("nan", "inf", "-inf", "1e3", "0x10", "1.5", "-1", "0", "é")
+_HUGE = (str(2**64), str(2**1100), str(-2**1100))
+_INTS = st.sampled_from(("-3", "-1", "0", "1", "2", "5") + _HUGE)
+_FLOATS = st.sampled_from(("nan", "inf", "-inf", "1e3", "-0.5", "0", "0.5", "2"))
+_GEN_FLAGS = {
+    "--m": st.sampled_from(("-1", "0", "3", "10", "60") + _HUGE),
+    "--density": _FLOATS,
+    "--weight-min": _INTS,
+    "--weight-max": _INTS,
+    "--graph-seed": _INTS,
+    "--cycle-length": st.sampled_from(("-1", "0", "1", "3", "9")),
+    "--cycle-weight": _INTS,
+}
+_RUN_FLAGS = {
+    "--ordering": st.sampled_from(("identity", "adversarial")),
+    "--c": _FLOATS,
+    "--format": st.sampled_from(("csv", "json-lines")),
+}
+_SWITCHES = ("--check-oracle", "--detect-cycles", "--strict-count", "--fail-on-cycle")
+_SEEDS = st.one_of(
+    st.builds("--seed={}".format, _INTS),
+    st.builds("--seeds={}".format, st.sampled_from(
+        ("0:4", "2:4", "5:5", "3:1", "x", "0:", "-2:1", f"{2**64}:{2**64 + 2}"))))
+# Each option name, in its flag and its field spelling, and "line": one of
+# them names what an exit 2 refused.
+_NAMES = re.compile(r"\b(line|input|source|gen|n|m|density|weight|min|max|weight_min|weight_max"
+                    r"|graph|seed|seeds|ensure_reachable|cycle|length|cycle_length|cycle_weight"
+                    r"|algorithm|ordering|c|detect|fail|format|output)\b")
+
+
+@st.composite
+def _dimacs_bytes(draw):
+    n = draw(st.integers(1, 5))
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-4, 9)),
+                         max_size=8))
+    lines = [["p", "sp", str(n), str(len(arcs))], *(["a", *map(str, arc)] for arc in arcs)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("duplicate problem line", "duplicate line", "mutate")))
+        if edit == "mutate":
+            j = draw(st.integers(1, 3))
+            vertex_count = lines[i][0] == "p" and j == 2
+            lines[i][j] = draw(st.sampled_from(_MUTANTS + (() if vertex_count else _HUGE)))
+        else:
+            copied = lines[0] if edit == "duplicate problem line" else lines[i]
+            lines.insert(draw(st.integers(0, len(lines))), list(copied))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines).encode("utf-8")
+
+
+@st.composite
+def _cli_argv(draw, gr, out):
+    """An argument list for ``main`` and the bytes of the DIMACS file ``gr``, if it reads one."""
+    command = draw(st.sampled_from(("run", "verify", "generate")))
+    argv, data = [command], None
+    if command != "generate" and draw(st.booleans()):
+        data = draw(_dimacs_bytes())
+        argv += ["--input", str(gr)]
+        if draw(st.booleans()):
+            argv.append(f"--source={draw(st.sampled_from(('0', '1', '3', '9') + _HUGE))}")
+    else:
+        argv += ["--gen", draw(st.sampled_from(KINDS)),
+                 f"--n={draw(st.sampled_from(('-1', '0', '1', '2', '5', '8')))}"]
+        for flag, values in _GEN_FLAGS.items():
+            if draw(st.integers(0, 2)) == 0:
+                argv.append(f"{flag}={draw(values)}")
+        if draw(st.booleans()):
+            argv.append("--ensure-reachable")
+    if command == "run":
+        argv += ["--algorithm", draw(st.sampled_from(ALGORITHMS))]
+        for flag, values in _RUN_FLAGS.items():
+            if draw(st.integers(0, 3)) == 0:
+                argv.append(f"{flag}={draw(values)}")
+        argv += [s for s in _SWITCHES if draw(st.integers(0, 2)) == 0]
+    if command in ("run", "verify") and draw(st.booleans()):
+        argv.append(draw(_SEEDS) if command == "run" else f"--seed={draw(_INTS)}")
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--fail-on-cycle")
+    if command == "generate" or command == "run" and draw(st.integers(0, 3)) == 0:
+        argv += ["--output", str(out)]
+    return argv, data
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_main_keeps_its_exit_code_contract_on_hostile_input(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    argv, gr = data.draw(_cli_argv(base / "hostile.gr", base / "hostile.out"))
+    if gr is not None:
+        (base / "hostile.gr").write_bytes(gr)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc == 2:
+        assert out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ") and _NAMES.search(line[7:]), line

@@ -189,6 +189,14 @@ def test_load_splits_only_on_newlines(tmp_path):
         _load(tmp_path, "p sp 2 1\r\na 1 2 1e3\r\n")
 
 
+def test_load_names_the_line_of_a_non_ascii_byte(tmp_path):
+    # The codec's own message named a byte offset, not a line.
+    path = tmp_path / "u.gr"
+    path.write_bytes(b"p sp 2 1\r\nc caf\xc3\xa9\r\na 1 2 3\r\n")
+    with pytest.raises(DimacsFormatError, match="^line 2: non-ASCII byte 0xc3$"):
+        load_dimacs(path)
+
+
 _integral = st.one_of(
     st.integers(-2**60, 2**60).map(float),
     st.floats(-1e308, 1e308, allow_nan=False).map(lambda x: float(math.trunc(x))),

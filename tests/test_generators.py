@@ -231,6 +231,39 @@ def test_spec_rejects_cycle_fields_off_planted_cycle(kind, cycle):
         GeneratorSpec(kind=kind, n=5, **size, **cycle)
 
 
+@pytest.mark.parametrize("kind, size", [
+    ("path-worst-case", {}), ("random-sparse", {"m": 6}), ("random-dense", {})])
+def test_spec_refuses_a_negative_seed(kind, size):
+    # Random(-3) seeds as Random(3) does: seeds -3 and 3 would build one graph
+    # under two labels.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        GeneratorSpec(kind=kind, n=5, seed=-3, **size)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("density", math.nan), ("density", math.inf), ("density", -0.5), ("density", 1.5),
+    *(pytest.param(field, sign * 2**1100, id=f"{field}-huge")
+      for field, sign in (("weight_min", -1), ("weight_max", 1), ("cycle_weight", -1)))])
+def test_spec_refuses_a_value_no_graph_can_take(field, value):
+    # A nan or inf density used to escape from round() as an unnamed error,
+    # and a weight bound no float holds as OverflowError from random_graph.
+    spec = dict(kind="planted-cycle", n=5, m=6, cycle_length=3, cycle_weight=-1)
+    if field == "density":
+        del spec["m"]
+    with pytest.raises(ValueError, match=f"^{field} "):
+        GeneratorSpec(**{**spec, field: value})
+
+
+@pytest.mark.parametrize("size", [{"m": 3}, {"density": 0.1}])
+def test_planted_cycle_spec_needs_n_minus_1_base_edges(size):
+    # The spec refuses what random_graph could not build: the arborescence
+    # that reaches the cycle takes n-1 = 4 base edges.
+    with pytest.raises(ValueError, match="at least n-1 = 4 base edges, got [23]$"):
+        GeneratorSpec(kind="planted-cycle", n=5, cycle_length=2, cycle_weight=-1, **size)
+    spec = GeneratorSpec(kind="planted-cycle", n=5, m=4, cycle_length=2, cycle_weight=-1)
+    assert random_graph(spec).m == 6
+
+
 def test_build_graph_dispatch():
     path = build_graph(GeneratorSpec(kind="path-worst-case", n=7))
     assert path.edges == worst_case_path(7).edges
@@ -262,5 +295,3 @@ def test_complete_over_path_keeps_the_path_tree():
     result = floyd_warshall(g)
     assert result.dist[0] == [float(v) for v in range(n)]
     assert sorted(result.sp_edges) == [(i, i + 1, 1.0) for i in range(n - 1)]
-    with pytest.raises(ValueError):
-        complete_over_path(5, heavy=3.0)

@@ -72,15 +72,15 @@ def test_detection_start_falls_back_to_cap_at_desk_scale():
 def test_two_vertex_negative_cycle_found_with_certificate():
     g = Graph(2, ((0, 1, 1.0), (1, 0, -3.0)))
     state, stats, verdict = run_with_detection(g, seed=0)
+    cycle = stats.negative_cycle
     assert verdict.found
-    assert verdict.cycle is not None
-    assert stats.negative_cycle == verdict.cycle
+    assert cycle is not None
     weight = sum(
         min(w for x, y, w in g.edges if (x, y) == (a, b))
-        for a, b in zip(verdict.cycle, verdict.cycle[1:] + verdict.cycle[:1])
+        for a, b in zip(cycle, cycle[1:] + cycle[:1])
     )
     assert weight == -2.0
-    assert verdict.iterations_used <= iteration_cap(2)
+    assert verdict.iterations_used == stats.iterations <= iteration_cap(2)
 
 
 def test_clean_run_matches_plain_randomized():
@@ -92,7 +92,7 @@ def test_clean_run_matches_plain_randomized():
         assert state.dist == plain.dist
         assert stats.iterations == plain_stats.iterations
         assert stats.relax_calls == plain_stats.relax_calls
-        assert verdict.distances == plain.dist
+        assert stats.negative_cycle is None
 
 
 def test_detection_agrees_with_oracle_on_small_corpus():
@@ -114,11 +114,12 @@ def test_detection_agrees_with_oracle_on_small_corpus():
 def test_certificates_are_sound(data):
     g = data.draw(graphs(max_n=6, min_weight=-3, max_weight=3, max_edges=10))
     seed = data.draw(st.integers(0, 2**32))
-    _, _, verdict = run_with_detection(g, seed)
+    _, stats, verdict = run_with_detection(g, seed)
+    assert verdict.found == (stats.negative_cycle is not None)
     if not verdict.found:
         return
-    cycle = verdict.cycle
-    assert cycle is not None and len(cycle) >= 1
+    cycle = stats.negative_cycle
+    assert len(cycle) >= 1
     pairs = {}
     for u, v, w in g.edges:
         pairs[(u, v)] = min(w, pairs.get((u, v), math.inf))
@@ -141,11 +142,11 @@ def test_verdict_flag_always_matches_oracle(data):
 def test_negative_self_loop_certificate():
     g = Graph(3, ((0, 1, 2.0), (1, 1, -1.0), (1, 2, 1.0)))
     _, stats, verdict = run_with_detection(g, seed=5)
-    assert verdict.found and verdict.cycle == [1]
-    assert stats.negative_cycle == [1]
+    assert verdict.found and stats.negative_cycle == [1]
     unreachable = Graph(3, ((0, 1, 2.0), (2, 2, -1.0)))
-    _, _, clean = run_with_detection(unreachable, seed=5)
+    _, stats, clean = run_with_detection(unreachable, seed=5)
     assert not clean.found  # out of scope: the loop is not reachable
+    assert stats.negative_cycle is None
 
 
 def test_parent_cycle_appears_whenever_distance_beats_simple_paths():
@@ -178,56 +179,54 @@ def test_dense_budget_formula():
 
 def test_monte_carlo_terminating_run_is_clean():
     g = Graph(4, ((0, 1, 2.0), (1, 2, -1.0), (2, 3, 3.0)))
-    verdict = monte_carlo_dense_detect(g, seed=0)
-    assert not verdict.found
-    assert verdict.distances == [0.0, 2.0, 1.0, 4.0]
+    state, stats, verdict = monte_carlo_dense_detect(g, seed=0)
+    assert not verdict.found and stats.negative_cycle is None
+    assert state.dist == [0.0, 2.0, 1.0, 4.0]
 
 
 def test_monte_carlo_two_cycle_exhausts_budget():
     g = Graph(2, ((0, 1, 1.0), (1, 0, -3.0)))
-    verdict = monte_carlo_dense_detect(g, seed=0)
+    _, stats, verdict = monte_carlo_dense_detect(g, seed=0)
     assert verdict.found
-    assert verdict.cycle is None  # no certificate from the budget detector
-    assert verdict.relax_calls_used > dense_relaxation_budget(2, 2.0)
+    assert stats.negative_cycle is None  # no certificate from the budget detector
+    assert stats.relax_calls > dense_relaxation_budget(2, 2.0)
 
 
 def test_monte_carlo_self_loop_certificate():
     g = Graph(2, ((0, 1, 1.0), (1, 1, -2.0)))
-    verdict = monte_carlo_dense_detect(g, seed=0)
-    assert verdict.found and verdict.cycle == [1]
+    _, stats, verdict = monte_carlo_dense_detect(g, seed=0)
+    assert verdict.found and stats.negative_cycle == [1]
     # an unreached negative loop leaves the verdict clean
     g = Graph(3, ((0, 1, 1.0), (2, 2, -2.0)))
-    verdict = monte_carlo_dense_detect(g, seed=0)
-    assert not verdict.found and verdict.distances == [0.0, 1.0, None]
+    state, stats, verdict = monte_carlo_dense_detect(g, seed=0)
+    assert not verdict.found and stats.negative_cycle is None
+    assert state.dist == [0.0, 1.0, None]
     # two reached loops: the smaller vertex is the certificate
     g = Graph(3, ((0, 2, 1.0), (0, 1, 1.0), (2, 2, -1.0), (1, 1, -5.0)))
-    verdict = monte_carlo_dense_detect(g, seed=0)
-    assert verdict.found and verdict.cycle == [1]
+    _, stats, verdict = monte_carlo_dense_detect(g, seed=0)
+    assert verdict.found and stats.negative_cycle == [1]
 
 
 def test_monte_carlo_agrees_with_oracle_on_dense_instances():
     for seed in range(40):
         clean = random_graph(GeneratorSpec(kind="random-dense", n=10,
                                            weight_min=0, weight_max=9, seed=seed))
-        assert not monte_carlo_dense_detect(clean, seed).found
+        assert not monte_carlo_dense_detect(clean, seed)[2].found
         planted = random_graph(GeneratorSpec(kind="planted-cycle", n=10, density=1.0,
                                              weight_min=0, weight_max=9, seed=seed,
                                              cycle_length=3, cycle_weight=-1))
-        assert monte_carlo_dense_detect(planted, seed).found
+        assert monte_carlo_dense_detect(planted, seed)[2].found
 
 
 def _detection_outcomes(g, seed):
     outcomes = []
     for detect in (run_with_detection, monte_carlo_dense_detect):
         try:
-            result = detect(g, seed)
+            state, stats, verdict = detect(g, seed)
         except RuntimeError as exc:
             outcomes.append(repr(exc))
             continue
-        if isinstance(result, tuple):
-            state, stats, result = result
-            outcomes.append((state.dist, state.pred, stats))
-        outcomes.append(result)
+        outcomes.append((state.dist, state.pred, stats, verdict))
     return outcomes
 
 

@@ -166,8 +166,8 @@ def test_distances_drop_to_simple_path_level_by_threshold():
 def test_certify_accepts_detector_verdicts_and_agrees_with_oracle(data):
     g = data.draw(graphs(min_weight=-4, max_weight=4))
     seed = data.draw(st.integers(0, 2**16))
-    state, _, verdict = run_with_detection(g, seed)
-    assert certify(g, state.dist, verdict.cycle) is None
+    state, stats, verdict = run_with_detection(g, seed)
+    assert certify(g, state.dist, stats.negative_cycle) is None
     has_cycle = floyd_warshall(g).has_reachable_negative_cycle
     assert verdict.found == has_cycle
     # No distance vector certifies "none" while a reachable negative cycle exists.
