@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .dimacs import DimacsFormatError, load_dimacs, write_dimacs
+from .dimacs import load_dimacs, write_dimacs
 from .engines import run_adaptive, run_basic, run_randomized, run_yen
 from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
 from .graph import Graph, identity_ordering
@@ -54,7 +54,6 @@ class TrialConfig:
     algorithm: str
     seeds: Sequence[int]
     ordering: Optional[str] = None
-    c: float = 2.0
     check_oracle: bool = False
     detect_cycles: bool = False
     strict_count: bool = False
@@ -74,7 +73,6 @@ class TrialRecord:
     improvements: int
     wall_time_ns: int
     negative_cycle_found: bool
-    c: float
     source: str
 
 
@@ -93,7 +91,7 @@ ENGINES = {
     "basic": lambda g, seed, config: run_basic(g, strict=config.strict_count),
     "adaptive": lambda g, seed, config: run_adaptive(g),
     "yen": lambda g, seed, config: run_yen(g, ORDERINGS[config.ordering or "identity"](g)),
-    "randomized": lambda g, seed, config: (run_with_detection(g, seed, config.c)
+    "randomized": lambda g, seed, config: (run_with_detection(g, seed)
                                            if config.detect_cycles
                                            else run_randomized(g, seed))[:2],
 }
@@ -111,9 +109,10 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     """Execute one trial per seed; records come back in seed order.
 
     A contradictory config raises ``ValueError`` before the first trial: an
-    unknown algorithm or ordering, a flag of ``FLAG_NEEDS`` set for another
-    algorithm, or the adversarial ordering off the path 0 -> 1 -> ... -> n-1
-    with source 0.  ``ordering=None`` is the identity for ``yen``.
+    unknown algorithm or ordering, a negative seed, a flag of ``FLAG_NEEDS``
+    set for another algorithm, or the adversarial ordering off the path
+    0 -> 1 -> ... -> n-1 with source 0.  ``ordering=None`` is the identity
+    for ``yen``.
 
     With ``check_oracle`` every trial's verdict is checked by
     :func:`~relaxbench.oracle.certify` in O(n + m): a cycle against its hops,
@@ -133,6 +132,8 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
     if config.ordering is not None and config.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {config.ordering!r}")
+    if any(seed < 0 for seed in config.seeds):
+        raise ValueError(f"seed must be a non-negative integer, got {min(config.seeds)}")
     for flag, (field, needed) in FLAG_NEEDS.items():
         if getattr(config, field) and config.algorithm != needed:
             raise ValueError(f"{flag} needs algorithm {needed!r}, got {config.algorithm!r}")
@@ -244,7 +245,6 @@ def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
         improvements=stats.improvements,
         wall_time_ns=wall,
         negative_cycle_found=stats.negative_cycle is not None,
-        c=config.c,
         source=config.source_label,
     )
 
@@ -337,7 +337,6 @@ def _add_graph_source_args(parser: argparse.ArgumentParser) -> None:
     src.add_argument("--gen", choices=KINDS, help="generator kind")
     src.add_argument("--n", type=int, help="vertex count for the generator")
     src.add_argument("--m", type=int, help="edge count for random kinds")
-    src.add_argument("--density", type=float, help="edge density for random kinds")
     src.add_argument("--weight-min", type=int, default=-3)
     src.add_argument("--weight-max", type=int, default=7)
     src.add_argument("--graph-seed", type=int, default=0,
@@ -350,20 +349,19 @@ def _add_graph_source_args(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if (args.input is None) == (args.gen is None):
-        raise DimacsFormatError("exactly one of --input or --gen is required")
+        raise ValueError("exactly one of --input or --gen is required")
     if args.input is not None:
         g = load_dimacs(args.input, source=1 if args.source is None else args.source)
         digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
         return g, f"file:{args.input.name}:sha256:{digest}"
     if args.source is not None:
-        raise DimacsFormatError("--source needs --input; a generated graph's source is vertex 1")
+        raise ValueError("--source needs --input; a generated graph's source is vertex 1")
     if args.n is None:
-        raise DimacsFormatError("--gen requires --n")
+        raise ValueError("--gen requires --n")
     spec = GeneratorSpec(
         kind=args.gen,
         n=args.n,
         m=args.m,
-        density=args.density,
         weight_min=args.weight_min,
         weight_max=args.weight_max,
         seed=args.graph_seed,
@@ -378,20 +376,20 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
     if args.seeds is not None:
         lo, sep, hi = args.seeds.partition(":")
         if not sep:
-            raise DimacsFormatError("--seeds expects a half-open range like 0:1000")
+            raise ValueError("--seeds expects a half-open range like 0:1000")
         try:
             seeds = list(range(int(lo), int(hi)))
         except ValueError:
-            raise DimacsFormatError(f"malformed seed range {args.seeds!r}") from None
+            raise ValueError(f"malformed seed range {args.seeds!r}") from None
         if not seeds:
-            raise DimacsFormatError(f"seed range {args.seeds!r} is empty")
+            raise ValueError(f"seed range {args.seeds!r} is empty")
         return seeds
     return [args.seed]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.gen is None or args.n is None:
-        raise DimacsFormatError("generate requires --gen and --n")
+        raise ValueError("generate requires --gen and --n")
     g, label = _resolve_graph(args)
     write_dimacs(g, args.output)
     print(f"wrote {args.output}: n={g.n} m={g.m} ({label})")
@@ -399,15 +397,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.c is not None and not args.detect_cycles:
-        raise ValueError("--c needs --detect-cycles; no other run reads it")
     g, label = _resolve_graph(args)
     config = TrialConfig(
         graph=g,
         algorithm=args.algorithm,
         seeds=_parse_seeds(args),
         ordering=args.ordering,
-        c=2.0 if args.c is None else args.c,
         check_oracle=args.check_oracle,
         detect_cycles=args.detect_cycles,
         strict_count=args.strict_count,
@@ -474,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeds = p_run.add_mutually_exclusive_group()
     seeds.add_argument("--seed", type=int, default=0)
     seeds.add_argument("--seeds", type=str, help="half-open range A:B")
-    p_run.add_argument("--c", type=float,
-                       help="confidence exponent for --detect-cycles (default 2.0)")
     p_run.add_argument("--check-oracle", action="store_true",
                        help="check each trial's distances or cycle certificate in O(n + m)")
     p_run.add_argument("--detect-cycles", action="store_true")
@@ -500,9 +493,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimacsFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OracleMismatchError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

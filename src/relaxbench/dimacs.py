@@ -9,6 +9,7 @@ from the caller because the format's optional source line is not universal.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Union
 
@@ -22,9 +23,9 @@ class DimacsFormatError(ValueError):
 def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source`` is the 1-based external id of the source.
 
-    Distinct diagnostics: missing problem line, arc-count mismatch, vertex id
-    out of range, non-integer weight, weight too large for a float, non-ASCII
-    byte.  Each names its line number and, where the line is at fault, the
+    Distinct diagnostics: missing problem line, vertex count above
+    ``sys.maxsize``, arc-count mismatch, vertex id out of range, non-integer
+    weight, weight too large for a float, non-ASCII byte.  Each names its line number and, where the line is at fault, the
     line with surrounding whitespace stripped.
 
     The file is read as text and split on newlines, as iterating a text file
@@ -77,6 +78,8 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}") from None
+            if n > sys.maxsize:
+                raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
         else:
             raise DimacsFormatError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:

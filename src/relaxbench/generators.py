@@ -56,10 +56,9 @@ def adversarial_ordering(n: int) -> Ordering:
 class GeneratorSpec:
     """Parameters for one generated instance.
 
-    ``m`` and ``density`` are alternatives (density means m/(n*(n-1))) for
-    random-sparse and planted-cycle alone; the dense kind always uses every
-    ordered pair.  Only planted-cycle takes the cycle fields; a field the
-    kind ignores raises ``ValueError``.  ``ensure_reachable`` adds
+    ``m`` sizes random-sparse and planted-cycle alone; the dense kind always
+    uses every ordered pair.  Only planted-cycle takes the cycle fields; a
+    field the kind ignores raises ``ValueError``.  ``ensure_reachable`` adds
     a zero-weight spanning arborescence before the random edges, so it needs
     m >= n-1.  Planted-cycle instances always get one, so they need m >= n-1
     too; their cycle is appended after the base edges (parallel edges are
@@ -69,7 +68,6 @@ class GeneratorSpec:
     kind: str
     n: int
     m: Optional[int] = None
-    density: Optional[float] = None
     weight_min: int = -3
     weight_max: int = 7
     seed: int = 0
@@ -82,6 +80,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > sys.maxsize:
+            raise ValueError(f"n = {self.n} is above sys.maxsize; no list can index its vertices")
         if self.seed < 0:
             # Random(-s) seeds as Random(s) does: one graph under two labels.
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
@@ -90,12 +90,8 @@ class GeneratorSpec:
         for name in ("weight_min", "weight_max", "cycle_weight"):
             if abs(getattr(self, name) or 0) > sys.float_info.max:
                 raise ValueError(f"{name} is too large for a float weight")
-        if self.kind in ("path-worst-case", "random-dense") and (self.m, self.density) != (None, None):
-            raise ValueError(f"{self.kind} takes neither m nor density")
-        if None not in (self.m, self.density):
-            raise ValueError("m and density are alternatives; give one")
-        if self.density is not None and not 0 <= self.density <= 1:
-            raise ValueError(f"density must be in [0, 1], got {self.density}")
+        if self.kind in ("path-worst-case", "random-dense") and self.m is not None:
+            raise ValueError(f"{self.kind} takes no m")
         if self.kind != "planted-cycle" and (self.cycle_length, self.cycle_weight) != (None, None):
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
@@ -117,14 +113,11 @@ class GeneratorSpec:
                 raise ValueError("planted cycle weight must be negative")
 
     def base_edge_count(self) -> int:
-        full = self.n * (self.n - 1)
         if self.kind == "random-dense":
-            return full
-        if self.m is not None:
-            return self.m
-        if self.density is not None:
-            return round(self.density * full)
-        raise ValueError(f"{self.kind} needs m or density")
+            return self.n * (self.n - 1)
+        if self.m is None:
+            raise ValueError(f"{self.kind} needs m")
+        return self.m
 
     def label(self) -> str:
         """Canonical one-line provenance string for stats output."""

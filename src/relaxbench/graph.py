@@ -12,6 +12,7 @@ by scanning ``Graph.edges`` themselves.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -43,6 +44,8 @@ class Graph:
         n = self.n
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
+        if n > sys.maxsize:
+            raise ValueError(f"vertex count {n} is above sys.maxsize; no list can index it")
         if not 0 <= self.source < n:
             raise ValueError(f"source {self.source} out of range [0, {n})")
         canon = []

@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import sys
 from itertools import permutations
 from pathlib import Path
 from typing import Optional
@@ -286,6 +287,8 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                     n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}") from None
+                if n > sys.maxsize:
+                    raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
             elif parts[0] == "a":
                 if n is None:
                     raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")

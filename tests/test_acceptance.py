@@ -212,7 +212,7 @@ def test_criterion_09_monte_carlo_dense_detector():
         false_cycles += monte_carlo_dense_detect(g, seed, c=2.0)[2].found
     missed = 0
     for seed in range(trials):
-        g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, density=1.0,
+        g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, m=n * (n - 1),
                                        weight_min=0, weight_max=9, seed=seed,
                                        cycle_length=3, cycle_weight=-1))
         missed += not monte_carlo_dense_detect(g, seed, c=2.0)[2].found

@@ -10,6 +10,7 @@ import signal
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from relaxbench.generators import KINDS
 def _record(**overrides):
     base = dict(algorithm="basic", seed=0, n=3, m=2, iterations=2, relax_calls=4,
                 improvements=2, wall_time_ns=123, negative_cycle_found=False,
-                c=2.0, source="gen:test")
+                source="gen:test")
     base.update(overrides)
     return TrialRecord(**base)
 
@@ -48,7 +49,13 @@ def test_emit_csv_one_record_two_lines():
     lines = text.splitlines()
     assert len(lines) == 2
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "basic,0,3,2,2,4,2,123,false,2.0,gen:test"
+    assert lines[1] == "basic,0,3,2,2,4,2,123,false,gen:test"
+
+
+def test_readme_documents_the_record_columns():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("algorithm,")] == [CSV_HEADER]
 
 
 def test_emit_is_deterministic():
@@ -125,6 +132,20 @@ def test_cli_weight_too_large_for_a_float_exits_two(tmp_path, capsys):
     assert "line 2: weight too large for a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["input", "gen"])
+def test_cli_refuses_a_vertex_count_no_list_can_index(tmp_path, capsys, source):
+    # A problem line of 2**64 vertices used to load, and the engine then
+    # raised OverflowError; --n 2**64 built its path until memory ran out.
+    if source == "input":
+        (tmp_path / "huge.gr").write_text(f"p sp {2**64} 0\n")
+        graph, message = ["--input", str(tmp_path / "huge.gr")], "line 1: vertex count"
+    else:
+        graph, message = ["--gen", "path-worst-case", f"--n={2**64}"], "n = "
+    assert main(["run", *graph, "--algorithm", "basic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and "sys.maxsize" in err
+
+
 def test_cli_negative_cycle_paths(tmp_path, capsys):
     args = ["--gen", "planted-cycle", "--n", "8", "--m", "12",
             "--cycle-length", "3", "--cycle-weight", "-2"]
@@ -163,35 +184,6 @@ def test_cli_detect_cycles_requires_randomized(capsys):
     rc = main(["run", "--gen", "path-worst-case", "--n", "6",
                "--algorithm", "basic", "--detect-cycles"])
     assert rc == 2
-
-
-@pytest.mark.parametrize("algorithm", ["basic", "adaptive", "yen", "randomized"])
-def test_cli_c_requires_detect_cycles(algorithm, capsys):
-    args = ["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", algorithm]
-    assert main([*args, "--c", "5"]) == 2
-    assert "--c" in capsys.readouterr().err
-    assert main(args) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[9] == "2.0"
-
-
-def test_cli_c_reaches_the_detection_record(capsys):
-    assert main(["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", "randomized",
-                 "--detect-cycles", "--c", "5"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[9] == "5.0"
-
-
-@pytest.mark.parametrize("command, n, c", [
-    ("run", 1, "-5"), ("run", 1, "0"), *(("run", 2, c) for c in ("inf", "-inf", "nan"))])
-def test_cli_refuses_c_that_is_not_positive_and_finite(tmp_path, capsys, command, n, c):
-    # One vertex used to skip the check; inf and nan used to escape as other errors.
-    # A refused c writes nothing to stdout.
-    path = tmp_path / "g.gr"
-    path.write_text("p sp 1 0\n" if n == 1 else "p sp 2 1\na 1 2 3\n")
-    args = ["--algorithm", "randomized", "--detect-cycles"]
-    assert main([command, "--input", str(path), *args, f"--c={c}"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines()[-1] == f"error: c must be positive and finite, got {float(c)}"
 
 
 def test_cli_has_no_random_yen_ordering(capsys):
@@ -297,7 +289,7 @@ def test_cli_csv_quotes_a_carriage_return_in_the_source_label(tmp_path, capsys):
 
 @pytest.mark.parametrize("label", ["gen:plain", "a,b", 'say "hi"', "two\nlines", ""])
 def test_emit_csv_quotes_like_the_csv_writer(label):
-    record = _record(source=label, c=0.5)
+    record = _record(source=label)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         ("true" if v else "false") if isinstance(v, bool) else v
@@ -325,7 +317,7 @@ def test_cli_generator_flag_the_kind_ignores_exits_two(capsys):
     rc = main(["run", "--gen", "path-worst-case", "--n", "5", "--m", "40",
                "--cycle-length", "3", "--algorithm", "randomized"])
     assert rc == 2
-    assert "path-worst-case takes neither m nor density" in capsys.readouterr().err
+    assert "path-worst-case takes no m" in capsys.readouterr().err
 
 
 def test_cli_negative_graph_seed_exits_two(capsys):
@@ -343,6 +335,17 @@ def test_cli_verify_refuses_a_negative_seed_before_any_output(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_refuses_a_negative_seed_for_every_algorithm(algorithm, capsys, monkeypatch):
+    # basic, adaptive and yen read no seed, and used to run seeds -3 and -2.
+    monkeypatch.setitem(ENGINES, algorithm, lambda *args: pytest.fail("a trial ran"))
+    assert main(["run", "--gen", "path-worst-case", "--n", "6", "--algorithm", algorithm,
+                 "--seeds=-3:-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -3\n"
 
 
 def test_cli_seeds_syntax_errors(capsys):
@@ -559,15 +562,14 @@ def test_run_trials_reports_a_killed_worker(monkeypatch, two_cpus):
 
 # The exit-code contract over hostile input.  Every graph has at most 8
 # vertices and every seed range at most 4 seeds, so seeds * m stays far below
-# PARALLEL_MIN_EDGE_TRIALS and no batch forks.  No problem line declares a huge
-# vertex count: the engines allocate per vertex.
+# PARALLEL_MIN_EDGE_TRIALS and no batch forks.  Every huge value is negative or
+# above sys.maxsize, so a vertex count drawn from them is refused before any
+# per-vertex allocation.
 _MUTANTS = ("nan", "inf", "-inf", "1e3", "0x10", "1.5", "-1", "0", "é")
 _HUGE = (str(2**64), str(2**1100), str(-2**1100))
 _INTS = st.sampled_from(("-3", "-1", "0", "1", "2", "5") + _HUGE)
-_FLOATS = st.sampled_from(("nan", "inf", "-inf", "1e3", "-0.5", "0", "0.5", "2"))
 _GEN_FLAGS = {
     "--m": st.sampled_from(("-1", "0", "3", "10", "60") + _HUGE),
-    "--density": _FLOATS,
     "--weight-min": _INTS,
     "--weight-max": _INTS,
     "--graph-seed": _INTS,
@@ -576,7 +578,6 @@ _GEN_FLAGS = {
 }
 _RUN_FLAGS = {
     "--ordering": st.sampled_from(("identity", "adversarial")),
-    "--c": _FLOATS,
     "--format": st.sampled_from(("csv", "json-lines")),
 }
 _SWITCHES = ("--check-oracle", "--detect-cycles", "--strict-count", "--fail-on-cycle")
@@ -586,9 +587,9 @@ _SEEDS = st.one_of(
         ("0:4", "2:4", "5:5", "3:1", "x", "0:", "-2:1", f"{2**64}:{2**64 + 2}"))))
 # Each option name, in its flag and its field spelling, and "line": one of
 # them names what an exit 2 refused.
-_NAMES = re.compile(r"\b(line|input|source|gen|n|m|density|weight|min|max|weight_min|weight_max"
+_NAMES = re.compile(r"\b(line|input|source|gen|n|m|weight|min|max|weight_min|weight_max"
                     r"|graph|seed|seeds|ensure_reachable|cycle|length|cycle_length|cycle_weight"
-                    r"|algorithm|ordering|c|detect|fail|format|output)\b")
+                    r"|algorithm|ordering|detect|fail|format|output)\b")
 
 
 @st.composite
@@ -601,9 +602,7 @@ def _dimacs_bytes(draw):
         i = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.sampled_from(("duplicate problem line", "duplicate line", "mutate")))
         if edit == "mutate":
-            j = draw(st.integers(1, 3))
-            vertex_count = lines[i][0] == "p" and j == 2
-            lines[i][j] = draw(st.sampled_from(_MUTANTS + (() if vertex_count else _HUGE)))
+            lines[i][draw(st.integers(1, 3))] = draw(st.sampled_from(_MUTANTS + _HUGE))
         else:
             copied = lines[0] if edit == "duplicate problem line" else lines[i]
             lines.insert(draw(st.integers(0, len(lines))), list(copied))
@@ -622,7 +621,7 @@ def _cli_argv(draw, gr, out):
             argv.append(f"--source={draw(st.sampled_from(('0', '1', '3', '9') + _HUGE))}")
     else:
         argv += ["--gen", draw(st.sampled_from(KINDS)),
-                 f"--n={draw(st.sampled_from(('-1', '0', '1', '2', '5', '8')))}"]
+                 f"--n={draw(st.sampled_from(('-1', '0', '1', '2', '5', '8') + _HUGE))}"]
         for flag, values in _GEN_FLAGS.items():
             if draw(st.integers(0, 2)) == 0:
                 argv.append(f"{flag}={draw(values)}")

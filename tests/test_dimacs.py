@@ -43,6 +43,12 @@ def test_missing_problem_line(tmp_path):
         _load(tmp_path, "a 1 2 3\n")
 
 
+def test_vertex_count_above_sys_maxsize(tmp_path):
+    # No list can index such a graph's vertices; it used to load.
+    with pytest.raises(DimacsFormatError, match=r"^line 2: vertex count \d+ is above sys.maxsize$"):
+        _load(tmp_path, f"c huge\np sp {sys.maxsize + 1} 1\na 1 2 3\n")
+
+
 def test_arc_count_mismatch(tmp_path):
     with pytest.raises(DimacsFormatError, match="arc count mismatch"):
         _load(tmp_path, "p sp 2 2\na 1 2 5\n")

@@ -1,9 +1,9 @@
 import hashlib
-import math
 import statistics
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbench import (
@@ -100,7 +100,7 @@ def test_random_graph_is_deterministic():
 
 @st.composite
 def random_specs(draw):
-    """Specs of every random kind, n in [1, 40], sized by m or by density."""
+    """Specs of every random kind, n in [1, 40]."""
     kind = draw(st.sampled_from(("random-sparse", "random-dense", "planted-cycle")))
     n = draw(st.integers(1, 40))
     ensure_reachable = draw(st.booleans())
@@ -111,11 +111,7 @@ def random_specs(draw):
     if kind != "random-dense":
         full = n * (n - 1)
         low = n - 1 if ensure_reachable or kind == "planted-cycle" else 0
-        if draw(st.booleans()):
-            extra["m"] = draw(st.integers(low, full))
-        else:
-            extra["density"] = draw(st.floats(0.0, 1.0))
-            assume(round(extra["density"] * full) >= low)
+        extra["m"] = draw(st.integers(low, full))
     if kind == "planted-cycle":
         extra["cycle_length"] = draw(st.integers(1, n))
         extra["cycle_weight"] = draw(st.integers(-5, -1))
@@ -208,19 +204,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(kind="random-sparse", n=4, weight_min=5, weight_max=2, m=3)
     with pytest.raises(ValueError):
-        GeneratorSpec(kind="random-sparse", n=4).base_edge_count()  # m or density
+        GeneratorSpec(kind="random-sparse", n=4).base_edge_count()  # no m
+    with pytest.raises(ValueError, match="above sys.maxsize"):
+        GeneratorSpec(kind="random-dense", n=sys.maxsize + 1)
 
 
 @pytest.mark.parametrize("kind", ["path-worst-case", "random-dense"])
-@pytest.mark.parametrize("size", [{"m": 20}, {"density": 1.0}])
-def test_spec_rejects_m_or_density_on_a_kind_that_ignores_them(kind, size):
-    with pytest.raises(ValueError, match="takes neither m nor density"):
-        GeneratorSpec(kind=kind, n=5, **size)
-
-
-def test_spec_rejects_m_and_density_together():
-    with pytest.raises(ValueError, match="alternatives"):
-        GeneratorSpec(kind="random-sparse", n=5, m=6, density=0.3)
+def test_spec_rejects_m_on_a_kind_that_ignores_it(kind):
+    with pytest.raises(ValueError, match="takes no m"):
+        GeneratorSpec(kind=kind, n=5, m=20)
 
 
 @pytest.mark.parametrize("kind", ["path-worst-case", "random-sparse", "random-dense"])
@@ -241,25 +233,20 @@ def test_spec_refuses_a_negative_seed(kind, size):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("density", math.nan), ("density", math.inf), ("density", -0.5), ("density", 1.5),
-    *(pytest.param(field, sign * 2**1100, id=f"{field}-huge")
-      for field, sign in (("weight_min", -1), ("weight_max", 1), ("cycle_weight", -1)))])
+    pytest.param(field, sign * 2**1100, id=f"{field}-huge")
+    for field, sign in (("weight_min", -1), ("weight_max", 1), ("cycle_weight", -1))])
 def test_spec_refuses_a_value_no_graph_can_take(field, value):
-    # A nan or inf density used to escape from round() as an unnamed error,
-    # and a weight bound no float holds as OverflowError from random_graph.
+    # A weight bound no float holds used to escape as OverflowError from random_graph.
     spec = dict(kind="planted-cycle", n=5, m=6, cycle_length=3, cycle_weight=-1)
-    if field == "density":
-        del spec["m"]
     with pytest.raises(ValueError, match=f"^{field} "):
         GeneratorSpec(**{**spec, field: value})
 
 
-@pytest.mark.parametrize("size", [{"m": 3}, {"density": 0.1}])
-def test_planted_cycle_spec_needs_n_minus_1_base_edges(size):
+def test_planted_cycle_spec_needs_n_minus_1_base_edges():
     # The spec refuses what random_graph could not build: the arborescence
     # that reaches the cycle takes n-1 = 4 base edges.
-    with pytest.raises(ValueError, match="at least n-1 = 4 base edges, got [23]$"):
-        GeneratorSpec(kind="planted-cycle", n=5, cycle_length=2, cycle_weight=-1, **size)
+    with pytest.raises(ValueError, match="at least n-1 = 4 base edges, got 3$"):
+        GeneratorSpec(kind="planted-cycle", n=5, m=3, cycle_length=2, cycle_weight=-1)
     spec = GeneratorSpec(kind="planted-cycle", n=5, m=4, cycle_length=2, cycle_weight=-1)
     assert random_graph(spec).m == 6
 
@@ -271,11 +258,6 @@ def test_build_graph_dispatch():
         GeneratorSpec(kind="alternating-adversary", n=7)
     with pytest.raises(ValueError):
         random_graph(GeneratorSpec(kind="path-worst-case", n=7))
-
-
-def test_density_parameter():
-    g = random_graph(GeneratorSpec(kind="random-sparse", n=8, density=0.25, seed=4))
-    assert g.m == round(0.25 * 8 * 7)
 
 
 def test_spec_label_round_trips_key_fields():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -29,6 +30,8 @@ def test_graph_validation():
         Graph(2, ((0, 1, math.inf),))
     with pytest.raises(ValueError):
         Graph(2, (), source=2)
+    with pytest.raises(ValueError, match="above sys.maxsize"):
+        Graph(sys.maxsize + 1, ())
 
 
 def test_graph_rejects_weight_too_large_for_a_float():

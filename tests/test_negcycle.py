@@ -212,7 +212,7 @@ def test_monte_carlo_agrees_with_oracle_on_dense_instances():
         clean = random_graph(GeneratorSpec(kind="random-dense", n=10,
                                            weight_min=0, weight_max=9, seed=seed))
         assert not monte_carlo_dense_detect(clean, seed)[2].found
-        planted = random_graph(GeneratorSpec(kind="planted-cycle", n=10, density=1.0,
+        planted = random_graph(GeneratorSpec(kind="planted-cycle", n=10, m=10 * 9,
                                              weight_min=0, weight_max=9, seed=seed,
                                              cycle_length=3, cycle_weight=-1))
         assert monte_carlo_dense_detect(planted, seed)[2].found
