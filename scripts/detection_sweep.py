@@ -35,9 +35,9 @@ def main() -> None:
     for seed in range(trials):
         g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, m=args.m,
                                        seed=seed, cycle_length=3, cycle_weight=-1))
-        _, _, verdict = run_with_detection(g, seed, c=args.c)
+        _, stats, verdict = run_with_detection(g, seed, c=args.c)
         assert verdict.found
-        fired_at[verdict.iterations_used] += 1
+        fired_at[stats.iterations] += 1
     print("planted instances, detection fired at iteration:")
     for iteration in sorted(fired_at):
         print(f"  {iteration:3d}: {fired_at[iteration]}")

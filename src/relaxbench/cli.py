@@ -422,14 +422,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g, label = _resolve_graph(args)
     oracle = floyd_warshall(g)
-    _, _, verdict = run_with_detection(g, args.seed)  # before any output: it refuses a bad seed
+    _, stats, verdict = run_with_detection(g, args.seed)  # before any output: it refuses a bad seed
     print(f"graph: n={g.n} m={g.m} ({label})")
     failures = 0
     if oracle.has_reachable_negative_cycle:
         ok = verdict.found
         print(f"oracle: negative cycle reachable from source")
         print(f"detector: {'ok' if ok else 'MISSED'} "
-              f"(found={verdict.found}, iterations={verdict.iterations_used})")
+              f"(found={verdict.found}, iterations={stats.iterations})")
         failures += 0 if ok else 1
     else:
         row = oracle.dist[g.source]

@@ -7,11 +7,13 @@ its reference, and every engine is differential-tested against drivers on it.
 
 ``_drain_pass`` is the one kernel: yen, adaptive and both negative-cycle
 detectors run on it.  ``basic_passes`` is the plain sweep over the edge list.
-Both compare against a shadow of ``state.dist``, built when a generator
-starts, that holds NaN where ``dist`` holds None (unreached); this keeps a
-``None`` test out of every relaxation (see ``_drain_pass``).  While a
-generator is live it owns ``state.dist``: a caller must not write it between
-steps.  The engines:
+``relax_calls`` is the paper's count for every engine; for yen it includes
+the descending scans the kernel proves idle and counts without performing
+(see ``yen_iterations``).  Both kernels compare against a shadow of
+``state.dist``, built when a generator starts, that holds NaN where ``dist``
+holds None (unreached); this keeps a ``None`` test out of every relaxation
+(see ``_drain_pass``).  While a generator is live it owns ``state.dist``: a
+caller must not write it between steps.  The engines:
 
 * ``run_basic``       fixed n-1 passes over the whole edge list;
 * ``run_adaptive``    one kernel pass per iteration over the vertices whose
@@ -238,15 +240,27 @@ def yen_iterations(g: Graph, ordering: Ordering,
 
     An iteration is one ascending-rank pass over the rank-ascending subgraph
     followed by one descending-rank pass over the rank-descending subgraph.
-    A vertex's out-edges are relaxed iff it is in the frontier or its distance
-    already changed earlier in the same iteration, so the descending pass sees
-    the ascending pass's updates.  Self-loops are relaxed by neither pass.
+    In the paper's count a vertex's out-edges are relaxed iff it is in the
+    frontier or its distance already changed earlier in the same iteration,
+    so the descending pass sees the ascending pass's updates.  Self-loops are
+    relaxed by neither pass.
 
-    Each pass visits exactly those vertices, in rank order, through
-    ``_drain_pass``, so an iteration costs their out-edges plus work
-    proportional to them, not a scan of all n; a pass with none is skipped.
-    The relaxation sequence, and therefore ``dist``, ``pred`` and every
-    counter, is that of a rank-order scan applying the rule.
+    Each pass takes those vertices, in rank order, through ``_drain_pass``,
+    so an iteration costs their out-edges plus work proportional to them,
+    not a scan of all n; a pass with none is skipped.  Some scans are
+    counted instead of performed: after its first iteration, the generator's
+    descending pass does not take a frontier vertex that stays unchanged all
+    iteration.
+    Its last change came before its descending scan of the previous
+    iteration, since a descending edge only reaches a later key, and
+    distances only fall since then, so every one of its descending edges
+    already holds ``dist[v] <= dist[u] + w`` and relaxing it improves
+    nothing.  Its descending out-degree is added to ``relax_calls`` after
+    the pass, once the pass can no longer change it.  The first iteration
+    takes every frontier vertex, as a caller's state may come from another
+    engine or ordering.  The relaxation sequence, and therefore ``dist``,
+    ``pred`` and every counter, is that of a rank-order scan applying the
+    rule.
     """
     up_adj, down_adj = rank_adjacency(g, ordering)
     if state is None:
@@ -261,13 +275,20 @@ def yen_iterations(g: Graph, ordering: Ordering,
     down_vertex = up_vertex[::-1]
 
     d = [nan if x is None else x for x in state.dist]
+    changed_now = state.changed_now
+    scanned_last_round = False
     while frontier := state.frontier:
         keys = [k for u in frontier if (k := up_key[u]) is not None]
         if keys:
             _drain_pass(keys, up_vertex, up_adj, up_key, d, state)
-        keys = [k for u in chain(frontier, state._changed_order) if (k := down_key[u]) is not None]
+        changed = state._changed_order
+        down_from = changed if scanned_last_round else chain(frontier, changed)
+        keys = [k for u in down_from if (k := down_key[u]) is not None]
         if keys:
             _drain_pass(keys, down_vertex, down_adj, down_key, d, state)
+        if scanned_last_round:
+            state.relax_calls += sum([len(down_adj[u]) for u in frontier if not changed_now[u]])
+        scanned_last_round = True
         state.end_iteration()
         yield state
 

@@ -31,7 +31,8 @@ class CycleVerdict:
 
     The certificate, if any, is ``RunStats.negative_cycle``; the budget-based
     dense detector declares a cycle with none.  ``iterations_used`` equals
-    ``RunStats.iterations``; only the benchmark's replay still reads it.
+    ``RunStats.iterations``, which every other reader uses; only the
+    benchmark's replay still reads it, and one test pins the equality.
     """
 
     found: bool

@@ -171,7 +171,7 @@ def test_criterion_08_negative_cycle_detection():
                                        seed=seed, cycle_length=3, cycle_weight=-1))
         _, stats, verdict = run_with_detection(g, seed, c=2.0)
         cycle = stats.negative_cycle
-        ok = verdict.found and verdict.iterations_used <= cap and cycle
+        ok = verdict.found and stats.iterations <= cap and cycle
         if ok:
             pairs = {}
             for u, v, w in g.edges:
@@ -180,7 +180,7 @@ def test_criterion_08_negative_cycle_detection():
             ok = all(h in pairs for h in hops) and sum(pairs[h] for h in hops) < 0
         if not ok:
             _report(8, "negative-cycle detection", False, f"planted seed {seed}")
-        if verdict.iterations_used > late_cutoff:
+        if stats.iterations > late_cutoff:
             late += 1
     late_limit = 1 / n + 4 * math.sqrt((1 / n) * (1 - 1 / n) / trials)
     if late / trials > late_limit:

@@ -26,6 +26,7 @@ from relaxbench import (
     yen_iterations,
 )
 
+import helpers
 from helpers import (
     all_orderings,
     as_inf,
@@ -226,6 +227,79 @@ def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mo
         assert_kernel_matches_guard_scan(g, ordering)
         for state in islice(yen_iterations(g, ordering), g.n + 1):
             assert not any(d is not None and math.isnan(d) for d in state.dist)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_yen_kernel_matches_guard_scan_from_a_resumed_state(data, each_work_set_mode):
+    # A caller's state may have been stepped by another engine or under
+    # another ordering, so the kernel's first iteration has no descending
+    # scan of its own behind it; from there on it must step as the guard
+    # scan continued from the same state.
+    g = data.draw(graphs(max_n=8, max_edges=24))
+    ordering = data.draw(orderings_for(g))
+    other = data.draw(orderings_for(g))
+    steps = data.draw(st.integers(1, 3))
+    steppers = (adaptive_iterations, lambda g, s: guard_scan_yen_iterations(g, other, s))
+    for _ in each_work_set_mode():
+        for stepper in steppers:
+            kernel_state, reference_state = SsspState(g), SsspState(g)
+            for state in (kernel_state, reference_state):
+                for _ in islice(stepper(g, state), steps):
+                    pass
+            assert (_steps(yen_iterations(g, ordering, kernel_state), g)
+                    == _steps(guard_scan_yen_iterations(g, ordering, reference_state), g))
+
+
+class _CountedReads:
+    """A sequence that counts its item reads: ``_drain_pass`` reads ``vertex_at`` once per vertex taken."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return self.items[k]
+
+
+def test_yen_counts_idle_descending_scans_without_taking_them(monkeypatch, each_work_set_mode):
+    # After a generator's first iteration, no descending pass is keyed with a
+    # vertex the iteration left unchanged: such a frontier vertex can improve
+    # nothing, and its edges are counted, not relaxed.  So the kernel takes
+    # fewer vertices than the guard scan relaxes, with every counter equal.
+    g = random_graph(GeneratorSpec(kind="random-sparse", n=400, m=2000, weight_min=-2,
+                                   weight_max=9, seed=1, ensure_reachable=True))
+    ordering = random_ordering(g, 0)
+    drain_pass = engines._drain_pass
+    taken = later_descending_passes = 0
+
+    def spy(keys, vertex_at, adj, key, d, state):
+        nonlocal taken, later_descending_passes
+        if vertex_at is not ordering.by_rank and state.iterations > 0:
+            later_descending_passes += 1
+            assert all(state.changed_now[vertex_at[k]] for k in keys)
+        counted = _CountedReads(vertex_at)
+        drain_pass(keys, counted, adj, key, d, state)
+        taken += counted.reads
+
+    visits = set()
+
+    def relax_spy(state, u, v, w):
+        visits.add((state.iterations, u, ordering.rank[u] < ordering.rank[v]))
+        return relax(state, u, v, w)
+
+    monkeypatch.setattr(engines, "_drain_pass", spy)
+    monkeypatch.setattr(helpers, "relax", relax_spy)
+    reference = _steps(guard_scan_yen_iterations(g, ordering), g)
+    for _ in each_work_set_mode():
+        taken = later_descending_passes = 0
+        assert _steps(yen_iterations(g, ordering), g) == reference
+        assert later_descending_passes > 0
+        assert taken < len(visits)
 
 
 def assert_basic_and_adaptive_match_reference(g):

@@ -102,9 +102,9 @@ def test_detection_agrees_with_oracle_on_small_corpus():
                              weight_max=3, seed=instance)
         g = random_graph(spec)
         truth = floyd_warshall(g).has_reachable_negative_cycle
-        _, _, verdict = run_with_detection(g, seed=instance)
+        _, stats, verdict = run_with_detection(g, seed=instance)
         assert verdict.found == truth
-        assert verdict.iterations_used <= iteration_cap(g.n)
+        assert stats.iterations <= iteration_cap(g.n)
         hits += verdict.found
     assert hits > 50  # the corpus genuinely exercises both outcomes
 
