@@ -19,8 +19,6 @@ one trial after another.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import signal
@@ -28,9 +26,8 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .dimacs import load_dimacs, write_dimacs
 from .engines import run_adaptive, run_basic, run_randomized, run_yen
@@ -46,8 +43,7 @@ class OracleMismatchError(Exception):
     """A trial's verdict failed its certificate check."""
 
 
-@dataclass
-class TrialConfig:
+class TrialConfig(NamedTuple):
     """Everything one batch of trials needs; immutable while trials run."""
 
     graph: Graph
@@ -60,8 +56,7 @@ class TrialConfig:
     source_label: str = ""
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One completed trial; field order is the documented CSV column order."""
 
     algorithm: str
@@ -76,7 +71,7 @@ class TrialRecord:
     source: str
 
 
-CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
+CSV_HEADER = ",".join(TrialRecord._fields)
 
 # name -> graph -> Ordering, for --algorithm yen.
 ORDERINGS = {
@@ -321,11 +316,12 @@ def _csv_field(value) -> str:
 def emit_stats(records: Sequence[TrialRecord], fmt: str) -> str:
     """Serialize records as CSV (fixed header) or JSON lines (same field names)."""
     if fmt == "csv":
-        rows = (",".join(_csv_field(getattr(r, f.name)) for f in fields(TrialRecord))
-                for r in records)
+        rows = (",".join(map(_csv_field, r)) for r in records)
         return "".join(line + "\n" for line in (CSV_HEADER, *rows))
     if fmt == "json-lines":
-        return "".join(json.dumps(asdict(r)) + "\n" for r in records)
+        import json  # only this format pays for importing it
+
+        return "".join(json.dumps(r._asdict()) + "\n" for r in records)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -351,6 +347,8 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if (args.input is None) == (args.gen is None):
         raise ValueError("exactly one of --input or --gen is required")
     if args.input is not None:
+        import hashlib  # only a file source pays for importing it
+
         g = load_dimacs(args.input, source=1 if args.source is None else args.source)
         digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
         return g, f"file:{args.input.name}:sha256:{digest}"

@@ -31,11 +31,10 @@ the iteration changed, in change order, and ``changed_now`` is all clear.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import nan
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graph import Edge, Graph, Ordering, random_ordering, rank_adjacency
 
@@ -79,8 +78,7 @@ class SsspState:
         self.iterations += 1
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     """Summary counters for one engine run."""
 
     relax_calls: int

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .graph import Edge, Graph, Ordering, _shuffle
+from .graph import Edge, Graph, Ordering, _checked_make, _shuffle
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
@@ -52,8 +51,20 @@ def adversarial_ordering(n: int) -> Ordering:
     return Ordering(tuple(rank))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _SpecFields(NamedTuple):
+    # GeneratorSpec's fields; the NamedTuple class itself may not define __new__.
+    kind: str
+    n: int
+    m: Optional[int] = None
+    weight_min: int = -3
+    weight_max: int = 7
+    seed: int = 0
+    ensure_reachable: bool = False
+    cycle_length: Optional[int] = None
+    cycle_weight: Optional[int] = None
+
+
+class GeneratorSpec(_SpecFields):
     """Parameters for one generated instance.
 
     ``m`` sizes random-sparse and planted-cycle alone; the dense kind always
@@ -65,17 +76,10 @@ class GeneratorSpec:
     legal) and is therefore reachable from the source.
     """
 
-    kind: str
-    n: int
-    m: Optional[int] = None
-    weight_min: int = -3
-    weight_max: int = 7
-    seed: int = 0
-    ensure_reachable: bool = False
-    cycle_length: Optional[int] = None
-    cycle_weight: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GeneratorSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
@@ -97,7 +101,7 @@ class GeneratorSpec:
         if self.kind == "path-worst-case":
             if self.n < 2:
                 raise ValueError(f"{self.kind} needs n >= 2")
-            return
+            return self
         base = self.base_edge_count()
         if not 0 <= base <= self.n * (self.n - 1):
             raise ValueError(f"edge count {base} outside [0, n*(n-1)]")
@@ -111,6 +115,9 @@ class GeneratorSpec:
                 raise ValueError("cycle length must be in [1, n]")
             if self.cycle_weight >= 0:
                 raise ValueError("planted cycle weight must be negative")
+        return self
+
+    _make = classmethod(_checked_make)
 
     def base_edge_count(self) -> int:
         if self.kind == "random-dense":
@@ -122,12 +129,10 @@ class GeneratorSpec:
     def label(self) -> str:
         """Canonical one-line provenance string for stats output."""
         parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and value != f.default:
-                parts.append(f"{f.name}={value}")
-            elif f.name in ("kind", "n", "seed"):
-                parts.append(f"{f.name}={value}")
+        for name, value in zip(self._fields, self):
+            if name in ("kind", "n", "seed") or (
+                    value is not None and value != self._field_defaults[name]):
+                parts.append(f"{name}={value}")
         return "gen:" + ";".join(parts)
 
 

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from math import inf, isfinite
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 Edge = Tuple[int, int, float]  # (tail, head, weight)
 
 
-@dataclass(frozen=True)
-class Graph:
+def _checked_make(cls, fields):
+    """``_make`` for a record class that checks its fields, so ``_replace`` checks them too."""
+    return cls(*fields)
+
+
+class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     """Immutable directed weighted multigraph with a source vertex.
 
     Parallel edges and self-loops are allowed.  Weights must be finite
@@ -36,26 +40,25 @@ class Graph:
     them; any other edge is converted with ``int`` and ``float`` and checked.
     """
 
-    n: int
-    edges: Tuple[Edge, ...]
-    source: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __new__(cls, n: int, edges: Sequence[Edge], source: int = 0) -> Graph:
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         if n > sys.maxsize:
             raise ValueError(f"vertex count {n} is above sys.maxsize; no list can index it")
-        if not 0 <= self.source < n:
-            raise ValueError(f"source {self.source} out of range [0, {n})")
+        if not 0 <= source < n:
+            raise ValueError(f"source {source} out of range [0, {n})")
         canon = []
-        for e in self.edges:
+        for e in edges:
             u, v, w = e
             if not (type(e) is tuple and type(u) is int and type(v) is int and type(w) is float
                     and 0 <= u < n and 0 <= v < n and -inf < w < inf):
                 e = _canonical_edge(e, n)
             canon.append(e)
-        object.__setattr__(self, "edges", tuple(canon))
+        return super().__new__(cls, n, tuple(canon), source)
+
+    _make = classmethod(_checked_make)
 
     @property
     def m(self) -> int:
@@ -87,23 +90,26 @@ def _canonical_edge(e, n: int) -> Edge:
     return u, v, w
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(namedtuple("Ordering", "rank")):
     """A bijective vertex numbering; ``rank[v]`` is the position of vertex v.
 
     Valid orderings for a graph put the source at rank 0 (checked by
-    :meth:`validate_for`, which every consumer calls on entry).
+    :meth:`validate_for`, which every consumer calls on entry).  Instances
+    have a ``__dict__`` only to cache ``by_rank``; no attribute can be set.
     """
 
-    rank: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        rank = tuple(map(int, self.rank))
-        object.__setattr__(self, "rank", rank)
+    def __new__(cls, rank: Sequence[int]) -> Ordering:
+        rank = tuple(map(int, rank))
         # n distinct integers between 0 and n-1 are a permutation of them.
         n = len(rank)
         if n and (len(set(rank)) != n or min(rank) != 0 or max(rank) != n - 1):
             raise ValueError("rank must be a permutation of 0..n-1")
+        return super().__new__(cls, rank)
+
+    _make = classmethod(_checked_make)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
@@ -124,8 +130,7 @@ class Ordering:
             raise ValueError(f"source {g.source} must have rank 0, has {self.rank[g.source]}")
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """The two acyclic subgraphs induced by an ordering, plus the self-loops.
 
     ``plus`` holds rank-ascending edges sorted by (tail rank, input position);

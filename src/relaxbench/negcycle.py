@@ -17,16 +17,14 @@ certificate, while terminating within it is always a correct "none".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
 from .graph import Graph, random_ordering
 from .permstats import check_c
 
 
-@dataclass
-class CycleVerdict:
+class CycleVerdict(NamedTuple):
     """What a detection run's ``RunStats`` cannot say: whether it declared a cycle.
 
     The certificate, if any, is ``RunStats.negative_cycle``; the budget-based

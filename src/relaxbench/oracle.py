@@ -10,16 +10,14 @@ callers convert when comparing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .graph import Edge, Graph
 
 ORACLE_CAP = 256
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     """All-pairs distances plus derived ground truth for one graph.
 
     ``dist[u][v]`` is the exact distance (``inf`` if unreachable); entries are

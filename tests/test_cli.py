@@ -9,7 +9,6 @@ import re
 import signal
 import threading
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -441,7 +440,7 @@ def test_cli_wall_time_is_only_nondeterminism(tmp_path):
 
 
 def _masked(records):
-    return [replace(r, wall_time_ns=0) for r in records]
+    return [r._replace(wall_time_ns=0) for r in records]
 
 
 @pytest.fixture
@@ -460,7 +459,7 @@ def two_cpus(monkeypatch):
 ], ids=["planted-detect", "path"])
 def test_run_trials_batch_equals_single_seed_batches(config, two_cpus):
     batch = run_trials(config)
-    singles = [r for seed in config.seeds for r in run_trials(replace(config, seeds=[seed]))]
+    singles = [r for seed in config.seeds for r in run_trials(config._replace(seeds=[seed]))]
     assert [r.seed for r in batch] == list(config.seeds)
     assert _masked(batch) == _masked(singles)
     assert all(r.wall_time_ns > 0 for r in batch)
