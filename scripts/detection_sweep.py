@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Negative-cycle detection behaviour on planted and clean instances.
 
-Reports at which iteration detection fires on planted-cycle graphs, the
-deterministic cap it never exceeds, and the false-positive count on
-oracle-verified cycle-free graphs.
+Reports at which iteration detection, at run_trials' c = 2.0, fires on
+planted-cycle graphs (each found cycle certified), the deterministic cap it
+never exceeds, and the false positives on oracle-verified cycle-free graphs.
 """
 
 import argparse
 from collections import Counter
 
-from relaxbench import (
-    GeneratorSpec,
-    detection_start,
-    floyd_warshall,
-    iteration_cap,
-    random_graph,
-    run_with_detection,
-)
+from relaxbench import GeneratorSpec, detection_start, floyd_warshall, iteration_cap, random_graph
+from relaxbench.cli import TrialConfig, run_trials
 
 
 def main() -> None:
@@ -24,33 +18,33 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--m", type=int, default=24)
     parser.add_argument("--trials", type=int, default=500)
-    parser.add_argument("--c", type=float, default=2.0)
     args = parser.parse_args()
-
     n, trials = args.n, args.trials
-    print(f"n={n} m={args.m} trials={trials} c={args.c} "
-          f"check-start={detection_start(n, args.c)} cap={iteration_cap(n)}")
+    if trials < 1 or not 3 <= n <= args.m + 1 <= n * (n - 1) + 1:
+        parser.exit(2, "error: needs --trials >= 1, --n >= 3 and n-1 <= --m <= n(n-1)\n")
+    planted = GeneratorSpec(kind="planted-cycle", n=n, m=args.m, cycle_length=3, cycle_weight=-1)
+
+    print(f"n={n} m={args.m} trials={trials} c=2.0 "
+          f"check-start={detection_start(n, 2.0)} cap={iteration_cap(n)}")
 
     fired_at = Counter()
     for seed in range(trials):
-        g = random_graph(GeneratorSpec(kind="planted-cycle", n=n, m=args.m,
-                                       seed=seed, cycle_length=3, cycle_weight=-1))
-        _, stats, verdict = run_with_detection(g, seed, c=args.c)
-        assert verdict.found
-        fired_at[stats.iterations] += 1
+        g = random_graph(planted._replace(seed=seed))
+        [record] = run_trials(TrialConfig(g, "randomized", [seed], check_oracle=True,
+                                          detect_cycles=True))
+        fired_at[record.iterations] += 1
     print("planted instances, detection fired at iteration:")
     for iteration in sorted(fired_at):
         print(f"  {iteration:3d}: {fired_at[iteration]}")
 
-    false_hits = 0
-    clean = seed = 0
+    false_hits = clean = seed = 0
     while clean < trials:
         g = random_graph(GeneratorSpec(kind="random-sparse", n=n, m=args.m, seed=seed))
         seed += 1
         if floyd_warshall(g).has_reachable_negative_cycle:
             continue
-        _, _, verdict = run_with_detection(g, clean, c=args.c)
-        false_hits += verdict.found
+        [record] = run_trials(TrialConfig(g, "randomized", [clean], detect_cycles=True))
+        false_hits += record.negative_cycle_found
         clean += 1
     print(f"cycle-free instances: {false_hits} false detections out of {trials}")
 

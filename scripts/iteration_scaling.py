@@ -9,7 +9,8 @@ import argparse
 import math
 import statistics
 
-from relaxbench import adversarial_ordering, run_randomized, run_yen, worst_case_path
+from relaxbench import worst_case_path
+from relaxbench.cli import TrialConfig, run_trials
 
 
 def main() -> None:
@@ -18,14 +19,16 @@ def main() -> None:
                         default=[10, 30, 100, 300])
     parser.add_argument("--trials", type=int, default=500)
     args = parser.parse_args()
+    if args.trials < 2 or min(args.sizes) < 2:
+        parser.exit(2, "error: --trials and every --sizes value must be at least 2\n")
 
     print(f"{'n':>5} {'mean':>8} {'(n+3)/3':>8} {'stderr':>7} {'adversarial':>11} {'ratio':>6}")
     for n in args.sizes:
         g = worst_case_path(n)
-        counts = [run_randomized(g, seed)[1].iterations for seed in range(args.trials)]
+        counts = [r.iterations for r in run_trials(TrialConfig(g, "randomized", range(args.trials)))]
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / math.sqrt(args.trials)
-        _, adv = run_yen(g, adversarial_ordering(n))
+        [adv] = run_trials(TrialConfig(g, "yen", [0], ordering="adversarial"))
         print(f"{n:>5} {mean:>8.3f} {(n + 3) / 3:>8.3f} {se:>7.3f} "
               f"{adv.iterations:>11} {mean / adv.iterations:>6.3f}")
 

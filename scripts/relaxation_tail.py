@@ -10,7 +10,8 @@ import argparse
 import math
 import statistics
 
-from relaxbench import run_randomized, worst_case_path
+from relaxbench import worst_case_path
+from relaxbench.cli import TrialConfig, run_trials
 
 
 def main() -> None:
@@ -19,10 +20,12 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--c", type=float, default=1.0)
     args = parser.parse_args()
+    if args.trials < 1 or args.n < 2 or not 0 < args.c < math.inf:
+        parser.exit(2, "error: needs --trials >= 1, --n >= 2 and a positive, finite --c\n")
 
     g = worst_case_path(args.n)
     m, n, c = g.m, args.n, args.c
-    calls = [run_randomized(g, seed)[1].relax_calls for seed in range(args.trials)]
+    calls = [r.relax_calls for r in run_trials(TrialConfig(g, "randomized", range(args.trials)))]
     expected_bound = m * n / 3 + m
     tail_bound = expected_bound + m * math.sqrt(2 * c * n * math.log(n))
     over_expected = sum(x > expected_bound for x in calls) / args.trials

@@ -45,7 +45,7 @@ from .negcycle import (
     run_with_detection,
 )
 from .oracle import OracleResult, certify, floyd_warshall
-from .permstats import alternation_count, count_local_minima, local_minima_tail_threshold
+from .permstats import count_local_minima, local_minima_tail_threshold
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "SsspState",
     "adaptive_iterations",
     "adversarial_ordering",
-    "alternation_count",
     "basic_passes",
     "build_graph",
     "certify",

@@ -1,4 +1,4 @@
-"""Local-minima counts of rank sequences and alternation counts along paths.
+"""Local-minima counts of rank sequences.
 
 The iteration count of the partitioned engines on a single-path instance is
 governed by how often the rank sequence along the path dips: every interior
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-
-from .graph import Ordering
 
 
 def count_local_minima(values: Sequence[float]) -> int:
@@ -48,26 +46,3 @@ def local_minima_tail_threshold(n: int, c: float) -> float:
         raise ValueError(f"n must be >= 3, got {n}")
     check_c(c)
     return (n - 2) / 3 + math.sqrt(2 * c * n * math.log(n))
-
-
-def alternation_count(path_vertices: Sequence[int], ordering: Ordering) -> int:
-    """Number of maximal monotone-rank runs along a path.
-
-    Classifies each consecutive vertex pair as up (rank increases) or down
-    (rank decreases) and returns 1 + the number of adjacent up/down changes.
-    Requires at least one edge; consecutive vertices must differ (equal ranks
-    would mean a repeated vertex).
-    """
-    if len(path_vertices) < 2:
-        raise ValueError("path must have at least one edge")
-    rank = ordering.rank
-    steps = []
-    for a, b in zip(path_vertices, path_vertices[1:]):
-        if a == b:
-            raise ValueError("consecutive path vertices must be distinct")
-        steps.append(rank[b] > rank[a])
-    runs = 1
-    for prev, cur in zip(steps, steps[1:]):
-        if prev != cur:
-            runs += 1
-    return runs

@@ -10,7 +10,6 @@ from relaxbench import (
     GeneratorSpec,
     Graph,
     adversarial_ordering,
-    alternation_count,
     build_graph,
     complete_over_path,
     count_local_minima,
@@ -55,8 +54,7 @@ def test_worst_case_path_tree_is_unique():
 def test_adversarial_ordering_small_patterns():
     assert adversarial_ordering(4).rank == (0, 3, 1, 2)
     assert adversarial_ordering(5).rank == (0, 4, 1, 3, 2)
-    ordering = adversarial_ordering(4)
-    assert alternation_count([0, 1, 2, 3], ordering) == 3
+    assert count_local_minima(adversarial_ordering(4).rank) == 1
 
 
 def test_adversarial_ordering_maximizes_interior_minima():

@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxbench import (
-    Ordering,
-    alternation_count,
-    count_local_minima,
-    local_minima_tail_threshold,
-    run_yen,
-    worst_case_path,
-)
-
-from helpers import all_orderings
+from relaxbench import count_local_minima, local_minima_tail_threshold
 
 
 def test_count_local_minima_examples():
@@ -89,48 +80,3 @@ def test_single_element_change_moves_count_by_at_most_two(n, idx, bump):
     delta = count_local_minima(changed) - count_local_minima(base)
     assert abs(delta) <= 2
 
-
-def test_alternation_count_examples():
-    ordering = Ordering((0, 2, 1, 3))
-    assert alternation_count([0, 1, 2, 3], ordering) == 3  # up, down, up
-    monotone = Ordering((0, 1, 2, 3))
-    assert alternation_count([0, 1, 2, 3], monotone) == 1
-    assert alternation_count([0, 1], monotone) == 1
-
-
-def test_alternation_count_validation():
-    ordering = Ordering((0, 1, 2))
-    with pytest.raises(ValueError):
-        alternation_count([0], ordering)
-    with pytest.raises(ValueError):
-        alternation_count([0, 0], ordering)
-
-
-def test_alternation_bounds_and_engine_link():
-    # For every ordering of the n-vertex path: runs <= edge count, the number
-    # of ascending runs is at most ceil(edges/2) (the first step away from the
-    # rank-0 source is always up), and the engine needs ceil(runs/2) + 1
-    # iterations, one per up/down pair plus the final confirming pass.
-    for n in range(2, 7):
-        g = worst_case_path(n)
-        path = list(range(n))
-        edge_count = n - 1
-        for ordering in all_orderings(g):
-            runs = alternation_count(path, ordering)
-            assert 1 <= runs <= edge_count
-            up_runs = math.ceil(runs / 2)
-            assert up_runs <= math.ceil(edge_count / 2)
-            _, stats = run_yen(g, ordering)
-            assert stats.iterations == math.ceil(runs / 2) + 1
-
-
-def test_minima_equals_alternation_pairing():
-    # Interior local minima and maximal-run counts describe the same walk
-    # geometry: minima = ceil(runs/2) - 1 for source-initial sequences.
-    for n in range(2, 7):
-        g = worst_case_path(n)
-        path = list(range(n))
-        for ordering in all_orderings(g):
-            runs = alternation_count(path, ordering)
-            minima = count_local_minima([ordering.rank[v] for v in path])
-            assert minima == math.ceil(runs / 2) - 1
