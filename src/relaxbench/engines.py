@@ -5,15 +5,17 @@ and when v is unreached or ``dist[u] + w < dist[v]`` it sets ``dist[v]`` and
 ``pred[v]`` and counts an improvement.  ``relax`` in ``tests/helpers.py`` is
 its reference, and every engine is differential-tested against drivers on it.
 
-``_drain_pass`` is the one kernel: yen, adaptive and both negative-cycle
-detectors run on it.  ``basic_passes`` is the plain sweep over the edge list.
-``relax_calls`` is the paper's count for every engine; for yen it includes
-the descending scans the kernel proves idle and counts without performing
-(see ``yen_iterations``).  Both kernels compare against a shadow of
-``state.dist``, built when a generator starts, that holds NaN where ``dist``
-holds None (unreached); this keeps a ``None`` test out of every relaxation
-(see ``_drain_pass``).  While a generator is live it owns ``state.dist``: a
-caller must not write it between steps.  The engines:
+``_iterate`` is the one kernel, called once per outer iteration by yen,
+adaptive and both negative-cycle detectors: it runs the iteration's passes
+through one relax body (yen's ascending then descending pass, adaptive's
+one), counts the descending scans it proves idle without performing them
+(see ``yen_iterations``), and closes the iteration.  A one-key pass skips
+``heapify``.  ``basic_passes`` is the plain sweep over the edge list.
+``relax_calls`` is the paper's count for every engine.  Both kernels compare
+against a shadow of ``state.dist``, built when a generator starts, that holds
+NaN where ``dist`` holds None (unreached); this keeps a ``None`` test out of
+every relaxation (see ``_iterate``).  While a generator is live it owns
+``state.dist``: a caller must not write it between steps.  The engines:
 
 * ``run_basic``       fixed n-1 passes over the whole edge list;
 * ``run_adaptive``    one kernel pass per iteration over the vertices whose
@@ -129,19 +131,17 @@ def basic_passes(g: Graph, strict: bool = False,
 def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator[SsspState]:
     """Drive the changed-vertices-only engine one outer iteration at a time.
 
-    Each iteration is one ``_drain_pass`` keyed by vertex id over the
-    frontier, so a vertex that changes meanwhile waits for the next one.
+    Each iteration is one ``_iterate`` pass by vertex id over the frontier
+    that no vertex joins: one that changes meanwhile waits for the next.
     The generator is exhausted when an iteration changes nothing.
     """
     if state is None:
         state = SsspState(g)
     n = g.n
-    adj = g.out_adjacency()
-    no_key: list[Optional[int]] = [None] * n
+    passes = ((range(n), [None] * n, range(n), g.out_adjacency()),)
     d = [nan if x is None else x for x in state.dist]
     while state.frontier:
-        _drain_pass(list(state.frontier), range(n), adj, no_key, d, state)
-        state.end_iteration()
+        _iterate(passes, None, d, state)
         yield state
 
 
@@ -152,15 +152,24 @@ def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator
 WIDE_PASS_DIVISOR = 64
 
 
-def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]],
-                key: list[Optional[int]], d: list[float], state: SsspState) -> None:
-    """Relax the out-edges of every vertex keyed in ``keys``, once each, in ascending key order.
+def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]],
+                                    Sequence[int], list[list[Edge]]]],
+             idle_adj: Optional[list[list[Edge]]], d: list[float], state: SsspState) -> None:
+    """Run one outer iteration: each pass of ``passes`` in turn, then ``end_iteration``.
 
-    ``vertex_at[k]`` is the vertex with key k, and ``key[v]`` is v's key, or
-    None when v never joins the running pass.  A keyed vertex whose
-    ``changed_now`` flag flips joins the work set; in a Yen pass every edge
-    of ``adj`` leads to a larger key, so it never joins behind the current
-    key.  The body is the relaxation rule inlined, and it adds the pass's
+    A pass ``(start_key, key, vertex_at, adj)`` relaxes the out-edges in
+    ``adj`` of each vertex it takes, once each, in ascending key order;
+    ``vertex_at[k]`` is the vertex with key k.  The first pass starts from
+    ``start_key[u]`` of each frontier vertex u, a later one from the changed
+    vertices, plus the frontier when ``idle_adj`` is None (None keys take
+    nothing).  A vertex whose ``changed_now`` flag flips joins the running
+    pass at ``key[v]`` unless that is None; in a Yen pass every edge leads to
+    a larger key, so none joins behind the current key.  Given ``idle_adj``,
+    each frontier vertex left unchanged then adds its out-degree there to the
+    relax calls.  Keys are built with plain loops: before CPython 3.12 a
+    comprehension is a function call.
+
+    The body is the relaxation rule inlined, and it adds the iteration's
     relax calls and improvements to ``state``.  The rule reads ``dist[u]``
     per edge; the body reads it once per vertex, so an improving self-loop
     also updates that copy (Yen's adjacencies hold none).
@@ -176,60 +185,76 @@ def _drain_pass(keys: list[int], vertex_at: Sequence[int], adj: list[list[Edge]]
     from the test, which is cheaper on the many edges that do not improve;
     float addition is deterministic, so both give the same ``alt``.
 
-    The work set takes one of two forms, picked from the starting size.  A
-    narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
-    duplicate keys pop next to each other and are skipped: its cost is the
-    active out-edges plus O(log n) per activation.  A wide pass sets flags in
-    a ``bytearray`` of n and walks it with ``find``: its cost is the active
-    out-edges plus a byte scan of n, which is at most WIDE_PASS_DIVISOR bytes
-    per starting key.  Both relax the same vertices in the same order.
+    A pass's work set takes one of two forms, picked from its starting size.
+    A narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
+    duplicate keys pop next to each other and are skipped, and a single key
+    needs no ``heapify``: its cost is the active out-edges plus O(log n) per
+    activation.  A wide pass sets flags in a ``bytearray`` of n and walks it
+    with ``find``: its cost is the active out-edges plus a byte scan of n,
+    which is at most WIDE_PASS_DIVISOR bytes per starting key.  Both relax
+    the same vertices in the same order.
     """
-    flags = None
-    if len(keys) * WIDE_PASS_DIVISOR > len(vertex_at):
-        flags = bytearray(len(vertex_at))
-        for k in keys:
-            flags[k] = 1
-    else:
-        heapify(keys)
     dist, pred = state.dist, state.pred
     changed_now, changed_order = state.changed_now, state._changed_order
+    frontier = sources = state.frontier
     calls = imps = 0
-    k = last = -1
-    while True:
-        if flags is None:
-            if not keys:
-                break
-            k = heappop(keys)
-            if k == last:
-                continue
-            last = k
-        else:
-            k = flags.find(1, k + 1)
-            if k < 0:
-                break
-        u = vertex_at[k]
-        du = d[u]
-        edges = adj[u]
-        calls += len(edges)
-        for _, v, w in edges:
-            if not d[v] <= du + w:
-                alt = du + w
-                d[v] = dist[v] = alt
-                pred[v] = u
-                imps += 1
-                if v == u:
-                    du = alt
-                if not changed_now[v]:
-                    changed_now[v] = 1
-                    changed_order.append(v)
-                    kv = key[v]
-                    if kv is not None:
-                        if flags is None:
-                            heappush(keys, kv)
-                        else:
-                            flags[kv] = 1
+    for start_key, key, vertex_at, adj in passes:
+        keys = []
+        for u in sources:
+            k = start_key[u]
+            if k is not None:
+                keys.append(k)
+        sources = changed_order if idle_adj is not None else chain(frontier, changed_order)
+        if not keys:
+            continue
+        flags = None
+        if len(keys) * WIDE_PASS_DIVISOR > len(vertex_at):
+            flags = bytearray(len(vertex_at))
+            for k in keys:
+                flags[k] = 1
+        elif len(keys) > 1:
+            heapify(keys)
+        k = last = -1
+        while True:
+            if flags is None:
+                if not keys:
+                    break
+                k = heappop(keys)
+                if k == last:
+                    continue
+                last = k
+            else:
+                k = flags.find(1, k + 1)
+                if k < 0:
+                    break
+            u = vertex_at[k]
+            du = d[u]
+            edges = adj[u]
+            calls += len(edges)
+            for _, v, w in edges:
+                if not d[v] <= du + w:
+                    alt = du + w
+                    d[v] = dist[v] = alt
+                    pred[v] = u
+                    imps += 1
+                    if v == u:
+                        du = alt
+                    if not changed_now[v]:
+                        changed_now[v] = 1
+                        changed_order.append(v)
+                        kv = key[v]
+                        if kv is not None:
+                            if flags is None:
+                                heappush(keys, kv)
+                            else:
+                                flags[kv] = 1
+    if idle_adj is not None:
+        for u in frontier:
+            if not changed_now[u]:
+                calls += len(idle_adj[u])
     state.relax_calls += calls
     state.improvements += imps
+    state.end_iteration()
 
 
 def yen_iterations(g: Graph, ordering: Ordering,
@@ -243,12 +268,12 @@ def yen_iterations(g: Graph, ordering: Ordering,
     so the descending pass sees the ascending pass's updates.  Self-loops are
     relaxed by neither pass.
 
-    Each pass takes those vertices, in rank order, through ``_drain_pass``,
-    so an iteration costs their out-edges plus work proportional to them,
-    not a scan of all n; a pass with none is skipped.  Some scans are
-    counted instead of performed: after its first iteration, the generator's
-    descending pass does not take a frontier vertex that stays unchanged all
-    iteration.
+    Each iteration is one ``_iterate`` call, whose two passes take those
+    vertices in rank order, so an iteration costs their out-edges plus work
+    proportional to them, not a scan of all n; a pass with none is skipped.
+    Some scans are counted instead of performed: after its first iteration,
+    the generator's descending pass does not take a frontier vertex that
+    stays unchanged all iteration.
     Its last change came before its descending scan of the previous
     iteration, since a descending edge only reaches a later key, and
     distances only fall since then, so every one of its descending edges
@@ -269,25 +294,14 @@ def yen_iterations(g: Graph, ordering: Ordering,
     # their smallest key first.
     up_key = [rank[v] if up_adj[v] else None for v in range(n)]
     down_key = [n - 1 - rank[v] if down_adj[v] else None for v in range(n)]
-    up_vertex = ordering.by_rank
-    down_vertex = up_vertex[::-1]
+    passes = ((up_key, up_key, ordering.by_rank, up_adj),
+              (down_key, down_key, ordering.by_rank[::-1], down_adj))
 
     d = [nan if x is None else x for x in state.dist]
-    changed_now = state.changed_now
-    scanned_last_round = False
-    while frontier := state.frontier:
-        keys = [k for u in frontier if (k := up_key[u]) is not None]
-        if keys:
-            _drain_pass(keys, up_vertex, up_adj, up_key, d, state)
-        changed = state._changed_order
-        down_from = changed if scanned_last_round else chain(frontier, changed)
-        keys = [k for u in down_from if (k := down_key[u]) is not None]
-        if keys:
-            _drain_pass(keys, down_vertex, down_adj, down_key, d, state)
-        if scanned_last_round:
-            state.relax_calls += sum([len(down_adj[u]) for u in frontier if not changed_now[u]])
-        scanned_last_round = True
-        state.end_iteration()
+    idle_adj = None
+    while state.frontier:
+        _iterate(passes, idle_adj, d, state)
+        idle_adj = down_adj
         yield state
 
 

@@ -255,6 +255,45 @@ def test_cli_verify_clean_and_planted(tmp_path, capsys):
     assert rc == 3
 
 
+def test_cli_verify_every_engine_and_the_detector_against_floyd_warshall(tmp_path, capsys):
+    # Negative arcs and self-loops, no negative cycle: all four engines run.
+    gr = tmp_path / "loops.gr"
+    gr.write_text("p sp 4 6\na 1 2 3\na 2 2 1\na 2 3 -2\na 1 3 2\na 3 4 -1\na 4 4 0\n")
+    assert main(["verify", "--input", str(gr)]) == 0
+    assert capsys.readouterr().out == (
+        "graph: n=4 m=6 (file:loops.gr:sha256:"
+        "c9855c6776d02c34ec23410d9e1fcc4f49498d65825b0f9c0ae8adbf986b49bd)\n"
+        "basic: ok\nadaptive: ok\nyen: ok\nrandomized: ok\ndetector: ok\n")
+    assert main(["verify", "--gen", "planted-cycle", "--n", "120", "--m", "600",
+                 "--cycle-length", "4", "--cycle-weight", "-1"]) == 0
+    assert capsys.readouterr().out == (
+        "graph: n=120 m=604 (gen:kind=planted-cycle;n=120;m=600;seed=0;cycle_length=4;"
+        "cycle_weight=-1)\n"
+        "oracle: negative cycle reachable from source\n"
+        "detector: ok (found=True, iterations=62)\n")
+
+
+def test_cli_finds_and_certifies_a_reachable_negative_self_loop(tmp_path, capsys):
+    # No pass relaxes a self-loop, so the detectors scan for this one after converging.
+    gr = tmp_path / "negloop.gr"
+    gr.write_text("p sp 2 2\na 1 2 1\na 2 2 -1\n")
+    label = "file:negloop.gr:sha256:c62c65ce13c4e39100f13ea9338fbea8869ff30f6f2b4419084ca1edf045c765"
+    assert main(["verify", "--input", str(gr)]) == 0
+    assert capsys.readouterr().out == (
+        f"graph: n=2 m=2 ({label})\n"
+        "oracle: negative cycle reachable from source\n"
+        "detector: ok (found=True, iterations=2)\n")
+    assert main(["run", "--input", str(gr), "--algorithm", "randomized", "--detect-cycles",
+                 "--check-oracle"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER
+    record = dict(zip(header.split(","), row.split(",")))
+    assert record.pop("wall_time_ns").isdigit()
+    assert record == dict(algorithm="randomized", seed="0", n="2", m="2", iterations="2",
+                          relax_calls="1", improvements="1", negative_cycle_found="true",
+                          source=label)
+
+
 def test_cli_verify_refuses_graphs_above_the_oracle_cap(capsys):
     assert main(["verify", "--gen", "path-worst-case", "--n", "257"]) == 2
     out, err = capsys.readouterr()

@@ -1,6 +1,7 @@
 import math
 import statistics
 from itertools import islice
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,18 +253,48 @@ def test_yen_kernel_matches_guard_scan_from_a_resumed_state(data, each_work_set_
                     == _steps(guard_scan_yen_iterations(g, ordering, reference_state), g))
 
 
-class _CountedReads:
-    """A sequence that counts its item reads: ``_drain_pass`` reads ``vertex_at`` once per vertex taken."""
+class _RecordedReads:
+    """A sequence that records the indices it is read at.
+
+    ``_iterate`` reads a pass's ``start_key`` once per vertex the pass may
+    start from, and its ``vertex_at`` once per vertex it takes.
+    """
 
     def __init__(self, items):
-        self.items, self.reads = items, 0
+        self.items, self.read = items, []
 
     def __len__(self):
         return len(self.items)
 
     def __getitem__(self, k):
-        self.reads += 1
+        self.read.append(k)
         return self.items[k]
+
+
+class _Pass(NamedTuple):
+    iteration: int  # iterations completed before this one
+    index: int  # 0 ascending, 1 descending
+    started: list  # the vertices the pass was keyed with at its start
+    taken: int  # the vertices it relaxed the out-edges of
+    changed: set  # the vertices its iteration changed
+
+
+def _record_passes(monkeypatch) -> list:
+    """Wrap ``engines._iterate``; the list returned gets one ``_Pass`` per pass it runs."""
+    iterate = engines._iterate
+    log = []
+
+    def spy(passes, idle_adj, d, state):
+        iteration = state.iterations
+        recorded = [(_RecordedReads(start_key), key, _RecordedReads(vertex_at), adj)
+                    for start_key, key, vertex_at, adj in passes]
+        iterate(recorded, idle_adj, d, state)
+        for index, (start_key, _, vertex_at, _) in enumerate(recorded):
+            started = [u for u in start_key.read if start_key.items[u] is not None]
+            log.append(_Pass(iteration, index, started, len(vertex_at.read), set(state.frontier)))
+
+    monkeypatch.setattr(engines, "_iterate", spy)
+    return log
 
 
 def test_yen_counts_idle_descending_scans_without_taking_them(monkeypatch, each_work_set_mode):
@@ -274,32 +305,39 @@ def test_yen_counts_idle_descending_scans_without_taking_them(monkeypatch, each_
     g = random_graph(GeneratorSpec(kind="random-sparse", n=400, m=2000, weight_min=-2,
                                    weight_max=9, seed=1, ensure_reachable=True))
     ordering = random_ordering(g, 0)
-    drain_pass = engines._drain_pass
-    taken = later_descending_passes = 0
-
-    def spy(keys, vertex_at, adj, key, d, state):
-        nonlocal taken, later_descending_passes
-        if vertex_at is not ordering.by_rank and state.iterations > 0:
-            later_descending_passes += 1
-            assert all(state.changed_now[vertex_at[k]] for k in keys)
-        counted = _CountedReads(vertex_at)
-        drain_pass(keys, counted, adj, key, d, state)
-        taken += counted.reads
-
     visits = set()
 
     def relax_spy(state, u, v, w):
         visits.add((state.iterations, u, ordering.rank[u] < ordering.rank[v]))
         return relax(state, u, v, w)
 
-    monkeypatch.setattr(engines, "_drain_pass", spy)
     monkeypatch.setattr(helpers, "relax", relax_spy)
     reference = _steps(guard_scan_yen_iterations(g, ordering), g)
+    log = _record_passes(monkeypatch)
     for _ in each_work_set_mode():
-        taken = later_descending_passes = 0
+        log.clear()
         assert _steps(yen_iterations(g, ordering), g) == reference
-        assert later_descending_passes > 0
-        assert taken < len(visits)
+        later_descending = [p for p in log if p.index == 1 and p.iteration > 0 and p.started]
+        assert later_descending
+        assert all(set(p.started) <= p.changed for p in later_descending)
+        assert sum(p.taken for p in log) < len(visits)
+
+
+def test_yen_kernel_matches_guard_scan_step_by_step_on_narrow_runs(monkeypatch, each_work_set_mode):
+    # The paper's tight case: on a long path each iteration relaxes a few
+    # edges, so most passes start from one key, and a pass grows from it
+    # while the path's next vertex joins at a larger key.
+    g = worst_case_path(200)
+    orderings = [adversarial_ordering(g.n), *(random_ordering(g, seed) for seed in range(20))]
+    references = [_steps(guard_scan_yen_iterations(g, ordering), g) for ordering in orderings]
+    log = _record_passes(monkeypatch)
+    for _ in each_work_set_mode():
+        log.clear()
+        for ordering, reference in zip(orderings, references):
+            assert _steps(yen_iterations(g, ordering), g) == reference
+        one_key = [p for p in log if len(p.started) == 1]
+        assert len(one_key) > len(log) // 2
+        assert any(p.taken > 1 for p in one_key)
 
 
 def assert_basic_and_adaptive_match_reference(g):

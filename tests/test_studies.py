@@ -43,6 +43,7 @@ def test_study_stdout_equals_the_golden_file(study, monkeypatch, capsys):
     ("detection_sweep", ["--n", "1"]),
     ("detection_sweep", ["--n", "4", "--m", "2"]),  # too few edges to reach every vertex
     ("detection_sweep", ["--n", "4", "--m", "13"]),  # more than n(n-1) edges
+    ("detection_sweep", ["--n", "12", "--m", "100", "--trials", "1"]),  # no cycle-free draw
 ])
 def test_study_refuses_a_bad_argument_in_one_line(study, args, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
