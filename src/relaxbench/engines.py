@@ -289,13 +289,13 @@ def yen_iterations(g: Graph, ordering: Ordering,
     if state is None:
         state = SsspState(g)
     n = g.n
-    rank = ordering.rank
+    rank, by_rank = ordering.rank, ordering.by_rank
     # The descending pass keys vertex v by n-1-rank[v], so both passes visit
     # their smallest key first.
     up_key = [rank[v] if up_adj[v] else None for v in range(n)]
     down_key = [n - 1 - rank[v] if down_adj[v] else None for v in range(n)]
-    passes = ((up_key, up_key, ordering.by_rank, up_adj),
-              (down_key, down_key, ordering.by_rank[::-1], down_adj))
+    passes = ((up_key, up_key, by_rank, up_adj),
+              (down_key, down_key, by_rank[::-1], down_adj))
 
     d = [nan if x is None else x for x in state.dist]
     idle_adj = None

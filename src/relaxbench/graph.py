@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import sys
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain
 from math import inf, isfinite
 from typing import Callable, NamedTuple, Sequence, Tuple
@@ -94,9 +93,10 @@ class Ordering(namedtuple("Ordering", "rank")):
     """A bijective vertex numbering; ``rank[v]`` is the position of vertex v.
 
     Valid orderings for a graph put the source at rank 0 (checked by
-    :meth:`validate_for`, which every consumer calls on entry).  Instances
-    have a ``__dict__`` only to cache ``by_rank``; no attribute can be set.
+    :meth:`validate_for`, which every consumer calls on entry).
     """
+
+    __slots__ = ()
 
     def __new__(cls, rank: Sequence[int]) -> Ordering:
         rank = tuple(map(int, rank))
@@ -108,14 +108,11 @@ class Ordering(namedtuple("Ordering", "rank")):
 
     _make = classmethod(_checked_make)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     @property
     def n(self) -> int:
         return len(self.rank)
 
-    @cached_property
+    @property
     def by_rank(self) -> Tuple[int, ...]:
         """Vertex ids in ascending rank order (inverse of ``rank``)."""
         order = [0] * self.n

@@ -107,7 +107,7 @@ def _negative_self_loop(g: Graph, dist: Sequence[Optional[float]]) -> Optional[L
     return [min(loops)] if loops else None
 
 
-def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> tuple[List[int], float]:
+def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> List[int]:
     # Parent pointers run against edge direction, so the graph cycle is the
     # reverse of the parent-pointer order.  Each (parent, child) hop maps to
     # the minimum-weight parallel edge, the one a relaxation would have used
@@ -131,7 +131,7 @@ def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> tuple[List[int], floa
         raise RuntimeError(
             f"predecessor cycle {cycle} has non-negative weight {total}; detector state is corrupt"
         )
-    return cycle, total
+    return cycle
 
 
 def run_with_detection(
@@ -157,7 +157,7 @@ def run_with_detection(
         if t >= start:
             pp_cycle = detect_cycle_in_parent_graph(st.pred)
             if pp_cycle is not None:
-                cycle, _ = _extract_graph_cycle(g, pp_cycle)
+                cycle = _extract_graph_cycle(g, pp_cycle)
                 return st, _stats(st, cycle), CycleVerdict(True, t)
         if t >= cap and st.frontier:
             # The fallback analysis promises a parent cycle by now whenever

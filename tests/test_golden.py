@@ -1,48 +1,144 @@
-"""`relaxbench run` records against the committed golden file.
+"""The command line's contract: the cases of the corpus in ``tests/golden/cli``.
 
-The golden file holds the CSV records of four runs, one after another, with
-``wall_time_ns`` and any source hash masked.  A run that changes a counter,
-a column or the record format changes the diff.
-"""
+Each case runs ``cli.main`` in-process in a fresh directory holding a copy of
+``tests/golden/inputs``, so no output holds a temporary path.  Its file holds
+the command, exit code, last stderr line, warnings, the sha256 of each file
+written, and stdout with all-digit ``wall_time_ns`` masked.  No case reaches
+``PARALLEL_MIN_EDGE_TRIALS`` edge-trials per process, so none forks.  Run as a
+script, stdlib only, this file regenerates the corpus (``PYTHONPATH=src``)."""
 
-import csv
+import contextlib
+import difflib
+import hashlib
+import io
+import os
 import re
+import shlex
+import shutil
+import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
-from relaxbench.cli import main
+from relaxbench.cli import ALGORITHMS, TrialRecord, main
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "run_records.csv"
+CORPUS, INPUTS = (Path(__file__).resolve().parent / "golden" / d for d in ("cli", "inputs"))
 
-PATH = ["--gen", "path-worst-case", "--n", "60", "--algorithm", "yen"]
-PLANTED = ["--gen", "planted-cycle", "--n", "30", "--m", "120", "--cycle-length", "4",
-           "--cycle-weight", "-1", "--algorithm", "randomized", "--seeds", "0:8"]
-RUNS = [
-    [*PATH, "--ordering", "adversarial"],
-    [*PATH, "--ordering", "identity"],
-    PLANTED,
-    [*PLANTED, "--detect-cycles"],
-]
+GRAPHS = {
+    "path": "--gen path-worst-case --n 60",
+    "planted": "--gen planted-cycle --n 8 --m 12 --cycle-length 3 --cycle-weight -2",
+    "loops": "--input loops.gr",  # negative arcs and self-loops, no negative cycle
+}
+RUN_FLAGS = [a + f for a in ALGORITHMS for f in ("", " --check-oracle", " --format json-lines")]
+RUN_FLAGS += ["basic --strict-count", "yen --ordering identity", "yen --ordering adversarial",
+              "randomized --detect-cycles", "randomized --detect-cycles --check-oracle",
+              "randomized --detect-cycles --fail-on-cycle"]
+SPARSE = "--gen random-sparse --n 2000 --m 10000 --weight-min 0 --weight-max 9 --ensure-reachable"
+DENSE = ("--gen planted-cycle --n 150 --m 22350 --weight-min 0 --weight-max 9"
+         " --cycle-length 5 --cycle-weight -1")
+C4 = "--gen planted-cycle --cycle-length 4 --cycle-weight -1"  # a planted 4-cycle of weight -1
+P30 = f"{C4} --n 30 --m 120"
+DETECT = "--algorithm randomized --detect-cycles --check-oracle"
+P4 = "run --gen path-worst-case --n 4"
+
+CASES = {}  # name -> the command line after `relaxbench`
+for graph, source in GRAPHS.items():
+    for flags in RUN_FLAGS:
+        CASES["-".join(["run", graph, *(f.lstrip("-") for f in flags.split())])] = (
+            f"run {source} --algorithm {flags}")
+    CASES[f"verify-{graph}"] = f"verify {source}"
+    CASES[f"verify-{graph}-fail-on-cycle"] = f"verify {source} --fail-on-cycle"
+CASES.update({
+    # The benchmark's sparse-2000 and dense-detect-cli seed-0 graphs, by their sha256.
+    "generate-sparse-2000": f"generate {SPARSE} --output sparse.gr",
+    "generate-dense-150": f"generate {DENSE} --output planted.gr",
+    "generate-planted-30": f"generate {P30} --output g.gr",  # the bytes of lf/g.gr
+    # Certified checks above the Floyd-Warshall cap.
+    "run-sparse-check-oracle": f"run {SPARSE} --algorithm randomized --seeds 0:2 --check-oracle",
+    "run-planted-200-detect-cycles-check-oracle": f"run {C4} --n 200 --m 1000 {DETECT} --seeds 0:2",
+    "run-planted-30": f"run {P30} --algorithm randomized --seeds 0:8",
+    "run-planted-30-detect-cycles": f"run {P30} --algorithm randomized --seeds 0:8 --detect-cycles",
+    # crlf/g.gr: lf/g.gr with CRLF line ends and a comment and a blank line before each line.
+    "run-lf": f"run --input lf/g.gr {DETECT} --seeds 0:4",
+    "run-crlf": f"run --input crlf/g.gr {DETECT} --seeds 0:4",
+    # Two arcs of weight 10^308 on a 3-vertex path: dist[3] overflows to inf.
+    "run-inf": "run --input inf.gr --algorithm randomized --seeds 0:3 --check-oracle",
+    "run-inf-detect-cycles": f"run --input inf.gr {DETECT} --seeds 0:3",
+    # No pass relaxes a self-loop, so the detectors scan for this one after converging.
+    "run-negloop-detect-cycles-check-oracle": f"run --input negloop.gr {DETECT}",
+    "verify-negloop": "verify --input negloop.gr",
+    "verify-planted-120": f"verify {C4} --n 120 --m 600",
+    # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
+    **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
+       for name in ("form-feed", "arc-count-mismatch", "weight-too-large", "missing")},
+    "run-no-graph-source": "run --algorithm basic",
+    "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",
+    "run-gen-without-n": "run --gen path-worst-case --algorithm basic",
+    "run-source-with-gen": f"{P4} --source 2 --algorithm basic",
+    "run-seeds-without-colon": f"{P4} --seeds 3 --algorithm basic",
+    "run-seeds-empty": f"{P4} --seeds 5:5 --algorithm basic",
+    "run-negative-seed": f"{P4} --seed -1 --algorithm randomized",
+    "run-detect-cycles-basic": f"{P4} --algorithm basic --detect-cycles",
+    "run-strict-count-adaptive": f"{P4} --algorithm adaptive --strict-count",
+    "run-without-algorithm": P4,
+    "generate-without-gen": "generate --output g.gr",
+    "verify-above-the-oracle-cap": "verify --gen path-worst-case --n 257",
+    "verify-negative-seed": "verify --gen path-worst-case --n 4 --seed -1",
+})
 
 
-def _masked(text: str) -> list[str]:
-    """CSV lines with the wall_time_ns column and a source hash masked, found by header name."""
-    header, *rows = csv.reader(text.splitlines())
-    wall, source = header.index("wall_time_ns"), header.index("source")
-    lines = [",".join(header)]
-    for row in rows:
-        row[wall] = "wall_time_ns"
-        row[source] = re.sub(":sha256:.*", ":sha256:hash", row[source])
-        lines.append(",".join(row))
-    return lines
+def _masked(stdout: str) -> str:
+    """stdout with each all-digit wall_time_ns masked, in CSV rows and in JSON lines."""
+    column = rf"(?m)^((?:[^,\n]*,){{{TrialRecord._fields.index('wall_time_ns')}}})[0-9]+,"
+    csv = re.sub(column, r"\1wall_time_ns,", stdout)
+    return re.sub(r'"wall_time_ns": [0-9]+(?=[,}])', '"wall_time_ns": "wall_time_ns"', csv)
 
 
-def test_yen_and_randomized_records_equal_the_golden_file(capsys):
-    got = []
-    for args in RUNS:
-        with warnings.catch_warnings():
-            # Without --detect-cycles the planted runs hit the iteration cap and warn.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["run", *args]) == 0
-        got += _masked(capsys.readouterr().out)
-    assert got == GOLDEN.read_text(encoding="utf-8").splitlines()
+def run_case(command: str) -> str:
+    """Run one case in a fresh directory; return the text its golden file holds."""
+    argv, out, err, cwd = shlex.split(command), io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shutil.copytree(INPUTS, tmp, dirs_exist_ok=True)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's refusals
+                    code = exc.code
+                except Exception:  # reported as the interpreter reports an uncaught one
+                    traceback.print_exc()
+                    code = 1
+            written = [f"wrote: {f} sha256:{hashlib.sha256(Path(f).read_bytes()).hexdigest()}"
+                       for f in sorted(set(os.listdir()) - set(os.listdir(INPUTS)))]
+        finally:
+            os.chdir(cwd)
+    return "\n".join([f"$ relaxbench {command}", f"exit: {code}",
+                      *(f"stderr: {line}" for line in err.getvalue().splitlines()[-1:]),
+                      *(f"warning: {w.category.__name__}: {w.message}" for w in caught),
+                      *written, "stdout:", _masked(out.getvalue())])
+
+
+def test_every_cli_case_equals_its_golden_file():
+    assert sorted(p.stem for p in CORPUS.glob("*.txt")) == sorted(CASES)
+    failures = []
+    for name, command in CASES.items():
+        want, got = (CORPUS / f"{name}.txt").read_bytes().decode(), run_case(command)
+        if got != want:
+            diff = difflib.unified_diff(want.splitlines(), got.splitlines(), lineterm="")
+            failures.append("\n".join([f"case {name} (-golden +now): relaxbench {command}", *diff]))
+    assert not failures, "\n\n".join(failures)
+
+
+def test_lf_and_crlf_files_give_the_same_records_but_their_hash():
+    lf, crlf = (re.sub(":sha256:[0-9a-f]{64}", ":sha256:hash", run_case(CASES[name]))
+                for name in ("run-lf", "run-crlf"))
+    assert lf.replace("lf/", "crlf/", 1) == crlf and crlf.count("file:g.gr:sha256:hash") == 4
+
+
+if __name__ == "__main__":
+    for stale in CORPUS.glob("*.txt"):
+        stale.unlink()
+    for name, command in CASES.items():
+        (CORPUS / f"{name}.txt").write_bytes(run_case(command).encode())

@@ -20,13 +20,14 @@ RECORD = TrialRecord(algorithm="yen", seed=1, n=3, m=2, iterations=2, relax_call
     (Graph(2, ((0, 1, 1.0),)), "edges", ()),
     (Graph(2, ((0, 1, 1.0),)), "n", 3),
     (Ordering((0, 1)), "rank", (1, 0)),
+    (Ordering((0, 1)), "not_a_field", 1),  # no __dict__ either
     (GeneratorSpec(kind="path-worst-case", n=4), "n", 5),
-], ids=["graph-edges", "graph-n", "ordering-rank", "spec-n"])
+], ids=["graph-edges", "graph-n", "ordering-rank", "ordering-new-attribute", "spec-n"])
 def test_frozen_records_refuse_field_assignment(obj, field, value):
-    before = getattr(obj, field)
+    before = getattr(obj, field, None)
     with pytest.raises(AttributeError):
         setattr(obj, field, value)
-    assert getattr(obj, field) == before
+    assert getattr(obj, field, None) == before
 
 
 def test_equal_graphs_and_orderings_compare_and_hash_equal():
@@ -37,7 +38,7 @@ def test_equal_graphs_and_orderings_compare_and_hash_equal():
     assert a != Graph(3, ((0, 1, 2.0), (1, 2, 3.5)), source=1)
     c, d = Ordering([0, 2, 1]), Ordering(rank=(0, 2, 1))
     assert c == d and hash(c) == hash(d)
-    assert c.by_rank == (0, 2, 1) and c == d  # the cached inverse is no part of the value
+    assert c.by_rank == (0, 2, 1) and c == d  # the derived inverse is no part of the value
     assert c != Ordering((0, 1, 2))
 
 
