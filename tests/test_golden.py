@@ -120,14 +120,29 @@ def run_case(command: str) -> str:
                       *written, "stdout:", _masked(out.getvalue())])
 
 
-def test_every_cli_case_equals_its_golden_file():
-    assert sorted(p.stem for p in CORPUS.glob("*.txt")) == sorted(CASES)
+def _failures(names) -> list[str]:
+    """A diff for each named case whose output differs from its golden file."""
     failures = []
-    for name, command in CASES.items():
+    for name in names:
+        command = CASES[name]
         want, got = (CORPUS / f"{name}.txt").read_bytes().decode(), run_case(command)
         if got != want:
             diff = difflib.unified_diff(want.splitlines(), got.splitlines(), lineterm="")
             failures.append("\n".join([f"case {name} (-golden +now): relaxbench {command}", *diff]))
+    return failures
+
+
+def test_every_cli_case_equals_its_golden_file():
+    assert sorted(p.stem for p in CORPUS.glob("*.txt")) == sorted(CASES)
+    failures = _failures(CASES)
+    assert not failures, "\n\n".join(failures)
+
+
+def test_yen_and_randomized_records_equal_the_golden_file():
+    # Yen on the worst-case path under both orderings, and eight randomized seeds on a
+    # planted 4-cycle with and without detection: a changed counter shows as a diff.
+    failures = _failures(["run-path-yen-ordering-adversarial", "run-path-yen-ordering-identity",
+                          "run-planted-30", "run-planted-30-detect-cycles"])
     assert not failures, "\n\n".join(failures)
 
 
