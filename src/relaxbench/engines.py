@@ -10,12 +10,18 @@ adaptive and both negative-cycle detectors: it runs the iteration's passes
 through one relax body (yen's ascending then descending pass, adaptive's
 one), counts the descending scans it proves idle without performing them
 (see ``yen_iterations``), and closes the iteration.  A one-key pass skips
-``heapify``.  ``basic_passes`` is the plain sweep over the edge list.
-``relax_calls`` is the paper's count for every engine.  Both kernels compare
-against a shadow of ``state.dist``, built when a generator starts, that holds
-NaN where ``dist`` holds None (unreached); this keeps a ``None`` test out of
-every relaxation (see ``_iterate``).  While a generator is live it owns
-``state.dist``: a caller must not write it between steps.  The engines:
+``heapify``.  ``yen_iterations`` also fast-forwards: once an iteration
+repeats the one before it shifted by a constant, with integral weights and
+distances of magnitude at most 2**51 so that the arithmetic is exact, it
+yields each later iteration by adding that constant, and counts that
+iteration's relax calls without performing them.  ``basic_passes`` is the
+plain sweep over the edge list.  ``relax_calls`` is the paper's count for
+every engine.  Both kernels compare against a shadow of ``state.dist``,
+built when a generator starts, that holds NaN where ``dist`` holds None
+(unreached); this keeps a ``None`` test out of every relaxation (see
+``_iterate``).  While a generator is live it owns ``state.dist``,
+``state.pred`` and ``state.frontier``: a caller must not write them between
+steps.  The engines:
 
 * ``run_basic``       fixed n-1 passes over the whole edge list;
 * ``run_adaptive``    one kernel pass per iteration over the vertices whose
@@ -35,7 +41,7 @@ from __future__ import annotations
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import nan
+from math import copysign, nan
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graph import Edge, Graph, Ordering, random_ordering, rank_adjacency
@@ -281,9 +287,29 @@ def yen_iterations(g: Graph, ordering: Ordering,
     nothing.  Its descending out-degree is added to ``relax_calls`` after
     the pass, once the pass can no longer change it.  The first iteration
     takes every frontier vertex, as a caller's state may come from another
-    engine or ordering.  The relaxation sequence, and therefore ``dist``,
-    ``pred`` and every counter, is that of a rank-order scan applying the
-    rule.
+    engine or ordering.
+
+    Whole iterations are counted instead of performed too.  From the
+    generator's second iteration on, an iteration is one function F of the
+    distances and the frontier set; F does not read ``pred``.  Suppose the
+    generator's iteration k >= 2 left the frontier as it found it, moved
+    every reached distance by the same c != 0 and reached no new vertex,
+    and that every weight and every distance before and after it is an
+    integer of magnitude at most EXACT_BOUND = 2**51.  Then iteration k + 1
+    makes the same comparisons as iteration k, since every sum is exact and
+    c more than its counterpart: it moves every reached distance by c,
+    rewrites ``pred`` with the values it already holds and leaves the
+    frontier as it is.  So the generator yields it, and each one after it,
+    by adding c to the distances and iteration k's relax calls and
+    improvements to the counters, in O(|frontier|); before a distance would
+    leave the bound, ``_iterate`` takes over again.  No weight may be -0.0,
+    the only source of a -0.0 distance, whose sign an added c would lose.
+    The test costs one list comparison per iteration until two consecutive
+    frontiers are equal; only then does it copy ``dist``, and only once a
+    shift holds does it read the weights.
+
+    The relaxation sequence, and therefore ``dist``, ``pred`` and every
+    counter, is that of a rank-order scan applying the rule.
     """
     up_adj, down_adj = rank_adjacency(g, ordering)
     if state is None:
@@ -298,11 +324,91 @@ def yen_iterations(g: Graph, ordering: Ordering,
               (down_key, down_key, by_rank[::-1], down_adj))
 
     d = [nan if x is None else x for x in state.dist]
-    idle_adj = None
+    idle_adj = before = exact_weights = None
     while state.frontier:
+        frontier = state.frontier
         _iterate(passes, idle_adj, d, state)
         idle_adj = down_adj
         yield state
+        if state.frontier != frontier:
+            before = None
+            continue
+        # ``before`` holds the distances and counters before this iteration,
+        # kept because the iteration before it left the frontier as it found it.
+        if before is not None:
+            dist, calls, imps = before
+            c = _uniform_shift(dist, state.dist)
+            if c is not None:
+                if exact_weights is None:
+                    exact_weights = _exact_weights(g)
+                if exact_weights:
+                    yield from _shifted_iterations(state, d, c, state.relax_calls - calls,
+                                                   state.improvements - imps)
+        before = state.dist.copy(), state.relax_calls, state.improvements
+
+
+# Integers of at most this magnitude add and compare exactly as floats: a sum
+# of two of them is at most 2**52.
+EXACT_BOUND = 2.0 ** 51
+
+
+def _exact_weights(g: Graph) -> bool:
+    """True iff every weight is an integer of magnitude at most EXACT_BOUND, none -0.0."""
+    ws = [w for _, _, w in g.edges]
+    return (all(map(float.is_integer, ws))
+            and -EXACT_BOUND <= min(ws) and max(ws) <= EXACT_BOUND
+            and all(copysign(1.0, w) > 0 for w in ws if not w))
+
+
+def _uniform_shift(before: list[Optional[float]],
+                   after: list[Optional[float]]) -> Optional[float]:
+    """The c != 0 with ``after[v] == before[v] + c`` at every reached v, or None.
+
+    None also unless both lists hold None at the same vertices and every
+    finite value in either is an integer of magnitude at most EXACT_BOUND.
+    The test stops at the first vertex that breaks it.
+    """
+    c = None
+    for a, b in zip(before, after):
+        if a is None or b is None:
+            if a is not b:
+                return None
+        elif c is None:
+            c = b - a
+        elif b - a != c:
+            return None
+    if not c:
+        return None
+    finite = [x for x in chain(before, after) if x is not None]
+    if (-EXACT_BOUND <= min(finite) and max(finite) <= EXACT_BOUND
+            and all(x % 1 == 0 for x in finite)):
+        return c
+    return None
+
+
+def _shifted_iterations(state: SsspState, d: list[float], c: float,
+                        calls: int, imps: int) -> Iterator[SsspState]:
+    """Yield the iterations that repeat the last one shifted by c (see ``yen_iterations``).
+
+    Every reached vertex is in the frontier, since each moved by c != 0.
+    Each step adds c to their distances and to the shadow ``d``, adds the
+    repeated iteration's ``calls`` and ``imps`` to the counters, and gives
+    the frontier a copy of itself; it stops before a distance would leave
+    [-EXACT_BOUND, EXACT_BOUND].
+    """
+    dist, frontier = state.dist, state.frontier
+    reached = [dist[v] for v in frontier]
+    lo, hi = min(reached) + c, max(reached) + c
+    while -EXACT_BOUND <= lo and hi <= EXACT_BOUND:
+        for v in frontier:
+            d[v] = dist[v] = dist[v] + c
+        state.relax_calls += calls
+        state.improvements += imps
+        state.iterations += 1
+        state.frontier = frontier = frontier.copy()
+        yield state
+        lo += c
+        hi += c
 
 
 def _drain_capped(g: Graph, state: SsspState, iterator: Iterator[SsspState],

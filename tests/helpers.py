@@ -15,7 +15,7 @@ from typing import Optional
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from relaxbench import Graph, Ordering, SsspState, floyd_warshall
+from relaxbench import Graph, Ordering, SsspState, engines, floyd_warshall
 from relaxbench.dimacs import DimacsFormatError
 from relaxbench.graph import rank_adjacency
 
@@ -97,6 +97,20 @@ def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
                         relax(state, u, v, w)
         state.end_iteration()
         yield state
+
+
+def record_shifts(monkeypatch) -> list:
+    """Wrap ``engines._uniform_shift``, the fast-forward's test; the list returned gets each
+    value it returns."""
+    uniform_shift = engines._uniform_shift
+    shifts = []
+
+    def spy(before, after):
+        shifts.append(uniform_shift(before, after))
+        return shifts[-1]
+
+    monkeypatch.setattr(engines, "_uniform_shift", spy)
+    return shifts
 
 
 def reachable_from_source(g: Graph) -> set[int]:

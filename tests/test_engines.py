@@ -36,6 +36,7 @@ from helpers import (
     guard_scan_yen_iterations,
     orderings_for,
     overflow_weights,
+    record_shifts,
     reference_adaptive_iterations,
     reference_basic_passes,
     relax,
@@ -146,11 +147,11 @@ def test_randomized_distances_are_seed_independent():
         assert ordering.rank[g.source] == 0
 
 
-def _steps(driver, g):
-    # State after every iteration, capped at n + 1 iterations so that inputs
-    # with a reachable negative cycle stop too.
+def _steps(driver, g, count=None):
+    # State after every iteration, capped at n + 1 iterations (or ``count``)
+    # so that inputs with a reachable negative cycle stop too.
     return [(list(s.dist), list(s.pred), list(s.frontier), s.relax_calls, s.improvements,
-             s.iterations) for s in islice(driver, g.n + 1)]
+             s.iterations) for s in islice(driver, g.n + 1 if count is None else count)]
 
 
 def assert_kernel_matches_guard_scan(g, ordering):
@@ -251,6 +252,141 @@ def test_yen_kernel_matches_guard_scan_from_a_resumed_state(data, each_work_set_
                     pass
             assert (_steps(yen_iterations(g, ordering, kernel_state), g)
                     == _steps(guard_scan_yen_iterations(g, ordering, reference_state), g))
+
+
+def _record_shifted_steps(monkeypatch) -> list:
+    """Wrap ``engines._shifted_iterations``; the list returned gets each state it yields."""
+    shifted = engines._shifted_iterations
+    log = []
+
+    def spy(state, *args):
+        for st_ in shifted(state, *args):
+            log.append((st_.iterations, [x for x in st_.dist if x is not None]))
+            yield st_
+
+    monkeypatch.setattr(engines, "_shifted_iterations", spy)
+    return log
+
+
+def _steps_past_the_cap(driver, g):
+    # 3n + 10 steps: a run with a reachable negative cycle goes well past the
+    # iteration at which it starts to repeat itself shifted.
+    return _steps(driver, g, 3 * g.n + 10)
+
+
+def test_yen_fast_forward_steps_as_the_guard_scan(monkeypatch):
+    # Each iteration the generator yields by shifting the last one must be
+    # the state the guard scan reaches, from a fresh state and from one that
+    # another engine or ordering stepped first.
+    log = _record_shifted_steps(monkeypatch)
+    fired = []
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(data):
+        log.clear()
+        g = data.draw(graphs(max_n=6, min_weight=-5, max_edges=12))
+        ordering, other = data.draw(orderings_for(g)), data.draw(orderings_for(g))
+        stepper = data.draw(st.sampled_from([
+            None, adaptive_iterations, lambda g, s: guard_scan_yen_iterations(g, other, s)]))
+        kernel_state, reference_state = SsspState(g), SsspState(g)
+        if stepper is not None:
+            steps = data.draw(st.integers(1, 3))
+            for state in (kernel_state, reference_state):
+                for _ in islice(stepper(g, state), steps):
+                    pass
+        assert (_steps_past_the_cap(yen_iterations(g, ordering, kernel_state), g)
+                == _steps_past_the_cap(guard_scan_yen_iterations(g, ordering, reference_state), g))
+        fired.append(bool(log))
+
+    check()
+    assert sum(fired) >= 10
+
+
+# A reachable 2-cycle of weight -2: from the third iteration on, each
+# iteration is the one before it shifted by -2, and vertex 2 is never reached.
+TWO_CYCLE = ((0, 1, 1.0), (1, 0, -3.0), (2, 0, 1.0))
+
+
+@pytest.mark.parametrize("extra, fires", [
+    ((), True),
+    (((0, 1, engines.EXACT_BOUND),), True),
+    (((2, 1, -engines.EXACT_BOUND),), True),
+    (((0, 1, engines.EXACT_BOUND + 1),), False),
+    (((2, 1, -engines.EXACT_BOUND - 1),), False),
+    (((2, 2, 0.5),), False),
+    (((0, 1, 0.0),), True),
+    (((0, 1, -0.0),), False),
+], ids=["plain", "bound", "minus-bound", "above-bound", "below-minus-bound", "fractional",
+        "zero", "minus-zero"])
+def test_yen_fast_forwards_only_with_exact_weights(monkeypatch, extra, fires):
+    # Any weight that is fractional, above 2**51 in magnitude or -0.0 turns
+    # the rule off, also on an edge that no pass relaxes or improves along.
+    g = Graph(3, TWO_CYCLE + extra)
+    log = _record_shifted_steps(monkeypatch)
+    for ordering in all_orderings(g):
+        assert (_steps_past_the_cap(yen_iterations(g, ordering), g)
+                == _steps_past_the_cap(guard_scan_yen_iterations(g, ordering), g))
+    assert bool(log) == fires
+    assert all(len(dist) == 2 for _, dist in log)  # vertex 2 stays unreached
+
+
+def test_yen_fast_forward_waits_for_the_frontier_to_repeat(monkeypatch):
+    # Vertices 1 and 2 fall by 1 an iteration from the first one on, and the
+    # source joins them in the seventh: that iteration moves every distance
+    # by -1, but it started from a smaller frontier than the eighth does, so
+    # the eighth makes one more relax call and must not be a shifted copy.
+    g = Graph(3, ((2, 1, -3.0), (0, 1, -2.0), (2, 0, 5.0), (1, 2, 2.0), (2, 1, 2.0)))
+    ordering = Ordering((0, 2, 1))
+    log = _record_shifted_steps(monkeypatch)
+    steps = _steps_past_the_cap(yen_iterations(g, ordering), g)
+    assert steps == _steps_past_the_cap(guard_scan_yen_iterations(g, ordering), g)
+    assert [s[3] for s in steps[5:8]] == [23, 27, 32]
+    assert log and log[0][0] > 8
+
+
+def test_yen_fast_forward_stops_before_distances_leave_the_exact_range(monkeypatch):
+    # The cycle's distances fall by 2**47 an iteration, so they cross -2**51
+    # within 20 iterations; every shifted step stays above it, and ``_iterate``
+    # runs the iterations after.
+    g = Graph(2, ((0, 1, -2.0**46), (1, 0, -2.0**46)))
+    ordering = Ordering((0, 1))
+    log = _record_shifted_steps(monkeypatch)
+    steps = _steps(yen_iterations(g, ordering), g, 30)
+    assert steps == _steps(guard_scan_yen_iterations(g, ordering), g, 30)
+    assert log and all(min(dist) >= -engines.EXACT_BOUND for _, dist in log)
+    assert min(steps[-1][0]) < -engines.EXACT_BOUND and log[-1][0] < 30
+
+
+@pytest.mark.parametrize("before, after, shift", [
+    ([None, 0.0, 1.0], [None, -2.0, -1.0], -2.0),
+    ([0.0, 2.0**51], [-1.0, 2.0**51 - 1], -1.0),  # 2**51 is within the bound
+    ([0.0, 1.0], [0.0, 1.0], None),  # no shift
+    ([0.0, 1.0], [-1.0, -1.0], None),  # two shifts
+    ([0.0, None], [-1.0, 0.0], None),  # a vertex reached
+    ([0.5, 1.5], [-0.5, 0.5], None),  # fractional
+    ([0.0, 2.0**51 + 1], [-1.0, 2.0**51], None),  # beyond 2**51 before the iteration
+    ([0.0, -2.0**51], [-1.0, -2.0**51 - 1], None),  # beyond it after
+    ([0.0, math.inf], [-1.0, math.inf], None),
+])
+def test_uniform_shift(before, after, shift):
+    assert engines._uniform_shift(before, after) == shift
+
+
+def test_uniform_shift_never_holds_on_cycle_free_inputs(monkeypatch):
+    # A run that repeated an iteration shifted would never converge.
+    shifts = record_shifts(monkeypatch)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(data):
+        g, _ = data.draw(cycle_free_graphs(min_weight=-5))
+        ordering = data.draw(orderings_for(g))
+        for _ in yen_iterations(g, ordering):
+            pass
+
+    check()
+    assert shifts == [None] * len(shifts)
 
 
 class _RecordedReads:

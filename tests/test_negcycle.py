@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxbench import negcycle
+from relaxbench import engines, negcycle
 from relaxbench import (
     GeneratorSpec,
     Graph,
@@ -24,7 +24,8 @@ from relaxbench import (
     yen_iterations,
 )
 
-from helpers import graphs, guard_scan_yen_iterations, overflow_weights, shortest_simple_path_lengths
+from helpers import (graphs, guard_scan_yen_iterations, overflow_weights, record_shifts,
+                     shortest_simple_path_lengths)
 
 
 def test_parent_graph_detection_examples():
@@ -240,3 +241,18 @@ def test_detectors_match_the_reference_kernel_when_sums_overflow(g, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(negcycle, "yen_iterations", guard_scan_yen_iterations)
         assert _detection_outcomes(g, seed) == got
+
+
+def test_detection_records_do_not_depend_on_the_fast_forward(monkeypatch):
+    # On a complete graph with a planted cycle the run soon repeats each
+    # iteration shifted, and the Yen generator adds the shift instead of
+    # relaxing; with the shift test declining, every step is relaxed.
+    graphs = [random_graph(GeneratorSpec(kind="planted-cycle", n=30, m=30 * 29, weight_min=0,
+                                         weight_max=9, seed=seed, cycle_length=5,
+                                         cycle_weight=-1))
+              for seed in range(10)]
+    shifts = record_shifts(monkeypatch)
+    fast = [_detection_outcomes(g, seed) for seed, g in enumerate(graphs)]
+    assert sum(c is not None for c in shifts) == 20  # once in each run of each detector
+    monkeypatch.setattr(engines, "_uniform_shift", lambda before, after: None)
+    assert [_detection_outcomes(g, seed) for seed, g in enumerate(graphs)] == fast
