@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 negative cycle detected under --fail-on-cycle.  Records are emitted in seed
 order and are deterministic for identical inputs except for wall_time_ns.
 
-A ``run`` batch runs its trials on min(seeds, usable CPUs, seeds * m // 16384)
+A ``run`` batch runs its trials on min(seeds, usable CPUs, seeds * m // 128000)
 processes, this one and workers forked from it, where usable CPUs are the
 process's CPU affinity mask (``os.cpu_count()`` where the platform has none)
 and seeds * m counts edge-trials; ``taskset -c 0`` therefore runs it here,
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import signal
 import sys
 import threading
 import time
@@ -142,7 +141,8 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     processes = _process_count(config)
     if processes == 1:
         return [_trial(config, engine, seed) for seed in config.seeds]
-    import pickle  # only a parallel batch pays for importing it
+    import pickle  # only a parallel batch pays for importing these
+    import signal
 
     # Fork, so workers share the loaded graph and the engine table (lambdas,
     # perhaps patched) without pickling them.  Process k runs every
@@ -184,10 +184,15 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
 
 
 # Edge-trials (one trial over one edge) each process of a batch must be given.
-# Forking a worker costs about 2 ms and the cheapest trial measured about
-# 210 ns per edge (adaptive on a sparse graph, much of it unreachable), so a
-# worker with fewer could cost more than it saves.
-PARALLEL_MIN_EDGE_TRIALS = 16_384
+# Timed as whole `relaxbench run` batches, forked against `taskset -c 0`
+# (2-vCPU Linux VM, CPython 3.11), forking won at least 5 pairs in 6, at that
+# size and every larger one, from 128,000 edge-trials per process for the
+# cheapest trial measured: adaptive on a sparse graph its source mostly cannot
+# reach, about 0.4 us per edge-trial.  Dense cycle detection (about 0.7 us)
+# gained from 67,065 and randomized on a 2000-vertex path (about 2.6 us) from
+# 15,992.  Below that, trials running side by side slow each other down by more
+# than the second process saves.
+PARALLEL_MIN_EDGE_TRIALS = 128_000
 
 
 def _process_count(config: TrialConfig) -> int:
@@ -273,6 +278,7 @@ def _fork_worker(config: TrialConfig, engine, seeds: Sequence[int]) -> tuple:
     exception, and exits.
     """
     import pickle
+    import signal
     import traceback
 
     read_fd, write_fd = os.pipe()

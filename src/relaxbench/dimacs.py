@@ -31,7 +31,9 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     The file is read as text and split on newlines, as iterating a text file
     splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
     ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` do not).  Each arc becomes the
-    canonical ``(int, int, float)`` tuple that ``Graph`` keeps as it is.
+    canonical ``(int, int, float)`` tuple that ``Graph`` keeps as it is, and the
+    checks here refuse whatever ``Graph`` would, so the graph is built without
+    checking each arc a second time.
     """
     with open(path, "r", encoding="ascii") as handle:
         try:
@@ -88,7 +90,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
         raise DimacsFormatError(f"arc count mismatch: problem line says {m}, file has {len(edges)}")
     if not 1 <= source <= n:
         raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
-    return Graph(n, tuple(edges), source=source - 1)
+    return Graph._from_checked(n, tuple(edges), source - 1)
 
 
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:

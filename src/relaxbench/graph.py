@@ -35,8 +35,9 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     ``edges`` holds canonical ``(int, int, float)`` tuples.  An input edge that
     is one already, a tuple whose endpoints have type exactly ``int`` and lie
     in [0, n) and whose weight has type exactly ``float`` and is finite, is
-    kept as the same object, as the generators and ``load_dimacs`` build
-    them; any other edge is converted with ``int`` and ``float`` and checked.
+    kept as the same object, as the generators build them; any other edge is
+    converted with ``int`` and ``float`` and checked.  ``load_dimacs``, which
+    checks each arc as it parses it, builds its graph without this check.
     """
 
     __slots__ = ()
@@ -58,6 +59,16 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
         return super().__new__(cls, n, tuple(canon), source)
 
     _make = classmethod(_checked_make)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: Tuple[Edge, ...], source: int) -> Graph:
+        """The graph as given, unchecked, for a caller that built every edge canonical.
+
+        The caller has refused whatever ``Graph(n, edges, source)`` refuses, and each
+        edge is a tuple that ``Graph`` would keep as the same object, as
+        ``load_dimacs`` builds them.
+        """
+        return super().__new__(cls, n, edges, source)
 
     @property
     def m(self) -> int:

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbench import GeneratorSpec, Graph, random_graph, worst_case_path
+from relaxbench.cli import main
 from relaxbench.dimacs import DimacsFormatError, load_dimacs, write_dimacs
 
 from helpers import reference_dimacs_text, reference_load_dimacs
@@ -201,6 +205,51 @@ def test_load_names_the_line_of_a_non_ascii_byte(tmp_path):
     path.write_bytes(b"p sp 2 1\r\nc caf\xc3\xa9\r\na 1 2 3\r\n")
     with pytest.raises(DimacsFormatError, match="^line 2: non-ASCII byte 0xc3$"):
         load_dimacs(path)
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def test_load_builds_the_graph_that_graph_would_check():
+    # load_dimacs skips Graph's per-edge check, so each edge must already be one
+    # that Graph keeps as the same object.
+    loaded = 0
+    for path in sorted(GOLDEN_INPUTS.rglob("*.gr")):
+        try:
+            g = load_dimacs(path)
+        except DimacsFormatError:
+            continue  # refusals: test_load_refuses_whatever_graph_refuses
+        checked = Graph(g.n, g.edges, g.source)
+        assert type(g) is Graph and g == checked, path
+        assert all(a is b for a, b in zip(g.edges, checked.edges)), path
+        loaded += 1
+    assert loaded == 5
+
+
+_ID = st.one_of(st.integers(-1, 6), st.sampled_from((sys.maxsize, sys.maxsize + 1, 2**64)))
+
+
+@given(n=_ID, arcs=st.lists(st.tuples(_ID, _ID, st.one_of(
+           st.integers(-9, 9), st.sampled_from((10**308, -10**308, 10**309, -10**400)))),
+           max_size=5),
+       source=_ID)
+@settings(max_examples=300, deadline=None)
+def test_load_refuses_whatever_graph_refuses(tmp_path_factory, n, arcs, source):
+    path = tmp_path_factory.getbasetemp() / "graph.gr"
+    path.write_text(f"p sp {n} {len(arcs)}\n" + "".join(f"a {u} {v} {w}\n" for u, v, w in arcs))
+    try:
+        want = Graph(n, tuple((u - 1, v - 1, w) for u, v, w in arcs), source - 1)
+    except ValueError:
+        want = None
+    if want is not None:
+        assert load_dimacs(path, source=source) == want
+        return
+    with pytest.raises(DimacsFormatError):
+        load_dimacs(path, source=source)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["run", "--input", str(path), f"--source={source}", "--algorithm", "basic"])
+    assert (rc, out.getvalue()) == (2, "") and err.getvalue().startswith("error: ")
 
 
 _integral = st.one_of(

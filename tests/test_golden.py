@@ -77,6 +77,7 @@ CASES.update({
     "run-source-with-gen": f"{P4} --source 2 --algorithm basic",
     "run-seeds-without-colon": f"{P4} --seeds 3 --algorithm basic",
     "run-seeds-empty": f"{P4} --seeds 5:5 --algorithm basic",
+    "run-seeds-reversed": f"{P4} --seeds 7:3 --algorithm basic",
     "run-negative-seed": f"{P4} --seed -1 --algorithm randomized",
     "run-detect-cycles-basic": f"{P4} --algorithm basic --detect-cycles",
     "run-strict-count-adaptive": f"{P4} --algorithm adaptive --strict-count",

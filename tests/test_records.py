@@ -70,15 +70,16 @@ def test_record_columns_are_pinned():
 
 def test_importing_the_cli_loads_no_dataclasses_and_a_generated_csv_run_no_hashlib_or_json():
     # A fresh interpreter without site (-S), so that no installed .pth file
-    # decides what is loaded.  The last line is printed after a --gen csv run.
+    # decides what is loaded.  The last line is printed after a --gen csv run,
+    # which runs in one process and so loads nothing the fork path needs.
     probe = (
         "import sys\n"
         "import relaxbench.cli\n"
         "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)), sep=',')\n"
         "relaxbench.cli.main(['run', '--gen', 'path-worst-case', '--n', '5',"
         " '--algorithm', 'basic'])\n"
-        "print(*sorted({'dataclasses', 'inspect', 'hashlib', 'json'} & set(sys.modules)),"
-        " sep=',')\n"
+        "print(*sorted({'dataclasses', 'inspect', 'hashlib', 'json', 'pickle', 'signal'}"
+        " & set(sys.modules)), sep=',')\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
