@@ -6,11 +6,12 @@ planted-cycle graphs and the deterministic cap it never exceeds.
 
 Every run is certified (``check_oracle``), so a detection is a certificate:
 a missed cycle fails ``certify`` on the distances and stops the study with
-exit 1 instead of being counted.  The cycle-free graphs are the random-sparse
-draws whose own certified run finds no cycle, so their false-detection line
-reads 0 by construction.  At most DRAWS_PER_TRIAL times --trials graphs are
-drawn; arguments whose graphs nearly always hold such a cycle exit 2 at that
-bound, before printing anything, instead of drawing forever.
+exit 1 instead of being counted.  The cycle-free graphs are the first --trials
+random-sparse draws whose own certified run finds no cycle; the last line
+counts the draws that took, each other draw holding a certified reachable
+negative cycle.  At most DRAWS_PER_TRIAL times --trials graphs are drawn;
+arguments whose graphs nearly always hold such a cycle exit 2 at that bound,
+before printing anything, instead of drawing forever.
 """
 
 import argparse
@@ -33,13 +34,13 @@ def main() -> None:
         parser.exit(2, "error: needs --trials >= 1, --n >= 3 and n-1 <= --m <= n(n-1)\n")
     planted = GeneratorSpec(kind="planted-cycle", n=n, m=args.m, cycle_length=3, cycle_weight=-1)
 
-    clean = seed = 0
+    clean = draws = 0
     while clean < trials:
-        if seed == DRAWS_PER_TRIAL * trials:
-            parser.exit(2, f"error: {seed} random-sparse draws gave {clean} of {trials} "
+        if draws == DRAWS_PER_TRIAL * trials:
+            parser.exit(2, f"error: {draws} random-sparse draws gave {clean} of {trials} "
                            "cycle-free graphs; lower --m\n")
-        g = random_graph(GeneratorSpec(kind="random-sparse", n=n, m=args.m, seed=seed))
-        seed += 1
+        g = random_graph(GeneratorSpec(kind="random-sparse", n=n, m=args.m, seed=draws))
+        draws += 1
         [record] = run_trials(TrialConfig(g, "randomized", [clean], check_oracle=True,
                                           detect_cycles=True))
         clean += not record.negative_cycle_found
@@ -56,7 +57,8 @@ def main() -> None:
     print("planted instances, detection fired at iteration:")
     for iteration in sorted(fired_at):
         print(f"  {iteration:3d}: {fired_at[iteration]}")
-    print(f"cycle-free instances: 0 false detections out of {trials}")
+    print(f"cycle-free instances: {trials} of {draws} random-sparse draws; "
+          f"{draws - trials} held a reachable negative cycle")
 
 
 if __name__ == "__main__":

@@ -385,3 +385,19 @@ def reference_random_graph(spec) -> Graph:
             w = closing if i == length - 1 else 1.0
             edges.append((cycle_vertices[i], cycle_vertices[(i + 1) % length], w))
     return Graph(n, tuple(edges), source=0)
+
+
+def local_minima_law(length: int, one=1.0) -> list:
+    """P(k interior local minima) for a uniformly random order of ``length`` distinct values.
+
+    Entry k for k = 0 .. (length-1)//2.  Minima and peaks swap under v -> -v,
+    so this is the peak recurrence, p_L(k) = [(2k+2) p_{L-1}(k) + (L-2k)
+    p_{L-1}(k-1)] / L from p_1 = [1]: it places the largest value in each of
+    the L gaps.  Pass ``one=Fraction(1)`` for exact values.
+    """
+    law = [one]
+    for n in range(2, length + 1):
+        law = [((2 * k + 2) * (law[k] if k < len(law) else 0)
+                + (n - 2 * k) * (law[k - 1] if k else 0)) / n
+               for k in range((n - 1) // 2 + 1)]
+    return law

@@ -223,7 +223,7 @@ def test_load_builds_the_graph_that_graph_would_check():
         assert type(g) is Graph and g == checked, path
         assert all(a is b for a, b in zip(g.edges, checked.edges)), path
         loaded += 1
-    assert loaded == 5
+    assert loaded == 7
 
 
 _ID = st.one_of(st.integers(-1, 6), st.sampled_from((sys.maxsize, sys.maxsize + 1, 2**64)))

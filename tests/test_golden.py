@@ -69,12 +69,33 @@ CASES.update({
     "verify-negloop": "verify --input negloop.gr",
     "verify-planted-120": f"verify {C4} --n 120 --m 600",
     # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
+    # huge.gr's vertex count is 2^64, above sys.maxsize.
     **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
-       for name in ("form-feed", "arc-count-mismatch", "weight-too-large", "missing")},
+       for name in ("form-feed", "arc-count-mismatch", "weight-too-large", "missing", "huge")},
+    "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",
+    "generate-two-graph-sources": ("generate --input loops.gr --gen path-worst-case --n 4"
+                                   " --output q.gr"),
     "run-gen-without-n": "run --gen path-worst-case --algorithm basic",
+    "run-gen-flag-the-kind-ignores": f"{P4} --m 40 --cycle-length 3 --algorithm randomized",
+    "run-negative-graph-seed": ("run --gen random-sparse --n 6 --m 10 --graph-seed -3"
+                                " --algorithm randomized"),
     "run-source-with-gen": f"{P4} --source 2 --algorithm basic",
+    # --source names an external id: from vertex 2 of loops.gr, vertex 1 is unreached.
+    "verify-loops-source-2": "verify --input loops.gr --source 2",
+    "verify-loops-source-9": "verify --input loops.gr --source 9",
+    # --ordering needs yen and --strict-count needs basic.
+    **{f"run-ordering-adversarial-{a}": f"{P4} --algorithm {a} --ordering adversarial"
+       for a in ("basic", "adaptive", "randomized")},
+    "run-strict-count-yen": f"{P4} --algorithm yen --strict-count",
+    # The adversarial ordering takes the path 1 -> 2 -> 3 -> 4 with any weights, from vertex 1.
+    "run-path-weights-yen-ordering-adversarial":
+        "run --input path-weights.gr --algorithm yen --ordering adversarial",
+    "run-path-weights-source-2-yen-ordering-adversarial":
+        "run --input path-weights.gr --source 2 --algorithm yen --ordering adversarial",
+    "run-path-missing-arc-yen-ordering-adversarial":
+        "run --input path-missing-arc.gr --algorithm yen --ordering adversarial",
     "run-seeds-without-colon": f"{P4} --seeds 3 --algorithm basic",
     "run-seeds-empty": f"{P4} --seeds 5:5 --algorithm basic",
     "run-seeds-reversed": f"{P4} --seeds 7:3 --algorithm basic",
@@ -135,6 +156,9 @@ def _failures(names) -> list[str]:
 
 def test_every_cli_case_equals_its_golden_file():
     assert sorted(p.stem for p in CORPUS.glob("*.txt")) == sorted(CASES)
+    named = {token for command in CASES.values() for token in shlex.split(command)}
+    inputs = {p.relative_to(INPUTS).as_posix() for p in INPUTS.rglob("*") if p.is_file()}
+    assert inputs <= named, f"inputs that no case names: {sorted(inputs - named)}"
     failures = _failures(CASES)
     assert not failures, "\n\n".join(failures)
 

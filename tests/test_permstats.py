@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbench import count_local_minima, local_minima_tail_threshold
+
+from helpers import local_minima_law
 
 
 def test_count_local_minima_examples():
@@ -54,20 +57,21 @@ def test_tail_threshold_refuses_c_that_is_not_positive_and_finite(c):
         local_minima_tail_threshold(10, c)
 
 
+def test_local_minima_law_matches_enumeration():
+    for length in range(1, 9):
+        counts = Counter(count_local_minima(p) for p in permutations(range(length)))
+        exact = [Fraction(counts[k], math.factorial(length)) for k in range(max(counts) + 1)]
+        assert local_minima_law(length, Fraction(1)) == exact
+
+
 def test_tail_exceedance_frequency_matches_bound():
-    # n=50, c=1: P(count > threshold) <= 1/50; check the empirical rate.
-    n, c, trials = 50, 1.0, 100_000
-    threshold = local_minima_tail_threshold(n, c)
-    rng = random.Random(2024)
-    values = list(range(n))
-    exceed = 0
-    for _ in range(trials):
-        rng.shuffle(values)
-        if count_local_minima(values) > threshold:
-            exceed += 1
-    bound = 1 / n
-    se = math.sqrt(bound * (1 - bound) / trials)
-    assert exceed / trials <= bound + 4 * se
+    # The exact law, not a sample.  At each (n, c) the threshold is below the
+    # largest count a permutation can have, so the bound is not met vacuously.
+    laws = {n: local_minima_law(n) for n in (500, 1000)}
+    for n, c in ((500, 1.0), (1000, 1.0), (1000, 2.0)):
+        threshold = local_minima_tail_threshold(n, c)
+        assert threshold < len(laws[n]) - 1
+        assert sum(p for k, p in enumerate(laws[n]) if k > threshold) <= n ** -c
 
 
 @given(n=st.integers(3, 30), idx=st.integers(0, 29), bump=st.integers(0, 29))
