@@ -13,7 +13,9 @@ A ``run`` batch runs its trials on min(seeds, usable CPUs, seeds * m // 128000)
 processes, this one and workers forked from it, where usable CPUs are the
 process's CPU affinity mask (``os.cpu_count()`` where the platform has none)
 and seeds * m counts edge-trials; ``taskset -c 0`` therefore runs it here,
-one trial after another.
+one trial after another.  A worker's trial that raised, or issued a warning
+that the filters would show, runs again here, so a batch raises and warns as
+one process would.
 """
 
 from __future__ import annotations
@@ -115,11 +117,12 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
 
     Trials are independent, so a batch large enough to repay forking runs on
     :func:`_process_count` processes, this one and workers forked from it,
-    each taking every P-th seed.  Each process times its own trials.  This
-    one re-issues the workers' warnings, and raises the exception of the
-    first failing seed, in seed order, so a caller sees what a sequential
-    batch shows; a worker's exception has its traceback attached as the
-    ``__cause__``.  A killed worker raises ``RuntimeError``.
+    each taking every P-th seed.  Each process times its own trials.  A
+    trial is a function of (config, seed), so this process runs again, in
+    seed order, each worker trial that raised or issued a warning that the
+    filters in force at the fork would show: a caller sees the exception of
+    the first failing seed and the warnings that a sequential batch shows,
+    raised and issued here.  A killed worker raises ``RuntimeError``.
     """
     engine = ENGINES.get(config.algorithm)
     if engine is None:
@@ -147,8 +150,8 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     # Fork, so workers share the loaded graph and the engine table (lambdas,
     # perhaps patched) without pickling them.  Process k runs every
     # processes-th seed from the k-th on, this one being process 0, and each
-    # worker streams its results, so seed i's result is the next one from
-    # process i % processes.
+    # worker streams one record or None per seed, so seed i's is the next one
+    # from process i % processes.  Ours, and each None, run here.
     sys.stdout.flush()  # or a worker could write what is buffered again
     sys.stderr.flush()
     workers: List[tuple] = []
@@ -157,24 +160,18 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
             workers.append(_fork_worker(config, engine, config.seeds[k::processes]))
         records: List[TrialRecord] = []
         for i, seed in enumerate(config.seeds):
-            if i % processes == 0:  # ours: its warnings and exception come in seed order
-                records.append(_trial(config, engine, seed))
-                continue
-            pid, reader = workers[i % processes - 1]
-            try:
-                outcome, caught, remote = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                workers.remove((pid, reader))
-                reader.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"the worker process running seed {seed} exited "
-                                   f"with code {code}") from None
-            for message, filename, lineno in caught:
-                _reissue(message, filename, lineno)
-            if remote is not None:
-                outcome.__cause__ = _WorkerTraceback(remote)
-                raise outcome
-            records.append(outcome)
+            record = None
+            if i % processes:
+                pid, reader = workers[i % processes - 1]
+                try:
+                    record = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    workers.remove((pid, reader))
+                    reader.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise RuntimeError(f"the worker process running seed {seed} exited "
+                                       f"with code {code}") from None
+            records.append(record or _trial(config, engine, seed))
         return records
     finally:
         for pid, reader in workers:
@@ -249,33 +246,12 @@ def _trial(config: TrialConfig, engine, seed: int) -> TrialRecord:
     )
 
 
-def _reissue(message: Warning, filename: str, lineno: int) -> None:
-    """Issue a worker's warning as if its trial had run here.
-
-    Same text, category and place, under this process's filters and the
-    registry of the module at that place, so a ``default`` filter still
-    shows a warning once however many processes issued it.
-    """
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
-    warnings.warn_explicit(message, type(message), filename, lineno,
-                           module=getattr(module, "__name__", None), registry=registry)
-
-
-class _WorkerTraceback(Exception):
-    """The formatted traceback of an exception raised in a worker process."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
-
-
 def _fork_worker(config: TrialConfig, engine, seeds: Sequence[int]) -> tuple:
     """Fork a worker that runs ``seeds``; return its pid and the pipe it writes.
 
-    The worker pickles (record or exception, warnings as (message, filename,
-    lineno), traceback text or None) per seed, stops after the first
-    exception, and exits.
+    The worker pickles one value per seed: the trial's record, or None if the
+    trial raised or issued a warning that the inherited filters show.  It then
+    exits.
     """
     import pickle
     import signal
@@ -288,19 +264,18 @@ def _fork_worker(config: TrialConfig, engine, seeds: Sequence[int]) -> tuple:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which ends us
             os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
+            # One catch_warnings for the whole loop: each entry resets the
+            # warning registries, after which a `default` filter would show,
+            # and so replay, every warning trial's warning again.
+            with os.fdopen(write_fd, "wb") as out, warnings.catch_warnings(record=True) as caught:
                 for seed in seeds:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")  # the parent's filters decide
-                        try:
-                            outcome, remote = _trial(config, engine, seed), None
-                        except Exception as exc:
-                            outcome, remote = exc, "".join(traceback.format_exception(exc))
-                    caught = [(w.message, w.filename, w.lineno) for w in caught]
-                    pickle.dump((outcome, caught, remote), out)
+                    try:
+                        record = _trial(config, engine, seed)
+                    except Exception:
+                        record = None
+                    pickle.dump(None if caught else record, out)
                     out.flush()
-                    if remote is not None:
-                        break
+                    caught.clear()
             code = 0
         except BaseException:  # reported here; the exit code tells the parent
             traceback.print_exc()
@@ -355,9 +330,11 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if args.input is not None:
         import hashlib  # only a file source pays for importing it
 
-        g = load_dimacs(args.input, source=1 if args.source is None else args.source)
+        source = 1 if args.source is None else args.source
+        g = load_dimacs(args.input, source=source)
         digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
-        return g, f"file:{args.input.name}:sha256:{digest}"
+        label = f"file:{args.input.name}:sha256:{digest}"
+        return g, label if source == 1 else f"{label};source={source}"
     if args.source is not None:
         raise ValueError("--source needs --input; a generated graph's source is vertex 1")
     if args.n is None:

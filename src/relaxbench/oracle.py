@@ -12,24 +12,21 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence
 
-from .graph import Edge, Graph
+from .graph import Graph
 
 ORACLE_CAP = 256
 
 
 class OracleResult(NamedTuple):
-    """All-pairs distances plus derived ground truth for one graph.
+    """All-pairs distances plus the reachable-negative-cycle flag for one graph.
 
     ``dist[u][v]`` is the exact distance (``inf`` if unreachable); entries are
     only meaningful as distances when no negative cycle interferes, but the
     diagonal sign and the reachable-negative-cycle flag are always valid.
-    ``sp_edges`` lists the edges lying on at least one shortest path from the
-    source (meaningful for negative-cycle-free graphs).
     """
 
     dist: List[List[float]]
     has_reachable_negative_cycle: bool
-    sp_edges: List[Edge]
 
 
 def floyd_warshall(g: Graph) -> OracleResult:
@@ -63,12 +60,7 @@ def floyd_warshall(g: Graph) -> OracleResult:
 
     row_s = dist[s]
     has_cycle = any(row_s[u] < inf and dist[u][u] < 0 for u in range(n))
-    sp_edges = [
-        (u, v, w)
-        for u, v, w in g.edges
-        if u != v and row_s[u] < inf and row_s[u] + w == row_s[v]
-    ]
-    return OracleResult(dist, has_cycle, sp_edges)
+    return OracleResult(dist, has_cycle)
 
 
 def _reached_from(adj: List[List[int]], s: int) -> bytearray:

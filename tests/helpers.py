@@ -126,6 +126,13 @@ def reachable_from_source(g: Graph) -> set[int]:
     return seen
 
 
+def tight_edges(g: Graph, row) -> list:
+    """The edges of g, self-loops aside, that are tight under the oracle's distance row:
+    reached tails whose distance plus weight equals the head's."""
+    return [(u, v, w) for u, v, w in g.edges
+            if u != v and row[u] < math.inf and row[u] + w == row[v]]
+
+
 def brute_force_negative_cycle(g: Graph) -> bool:
     """Reachable-negative-cycle ground truth by simple-cycle enumeration.
 

@@ -31,7 +31,7 @@ from relaxbench import (
     worst_case_path,
 )
 
-from helpers import all_orderings, as_inf
+from helpers import all_orderings, as_inf, tight_edges
 
 
 def _report(num, name, ok, detail=""):
@@ -225,8 +225,9 @@ def test_criterion_10_dense_relaxation_bound():
     n, trials = 100, 200
     g = complete_over_path(n)
     result = floyd_warshall(g)
-    tree_ok = (result.dist[0] == [float(v) for v in range(n)]
-               and sorted(result.sp_edges) == [(i, i + 1, 1.0) for i in range(n - 1)])
+    row = result.dist[0]
+    tree_ok = (row == [float(v) for v in range(n)]
+               and sorted(tight_edges(g, row)) == [(i, i + 1, 1.0) for i in range(n - 1)])
     if not tree_ok:
         _report(10, "dense relaxation bound", False, "oracle rejected the instance")
     calls = [run_randomized(g, seed)[1].relax_calls for seed in range(trials)]

@@ -261,8 +261,30 @@ def test_run_trials_raises_for_the_first_failing_seed(monkeypatch, two_cpus):
                          check_oracle=True)
     with pytest.raises(OracleMismatchError, match="^seed 1: ") as excinfo:
         run_trials(config)
-    worker_traceback = str(excinfo.value.__cause__)
-    assert "in _trial" in worker_traceback and "OracleMismatchError: seed 1: " in worker_traceback
+    # Seed 1 ran again here: the exception and its traceback are this process's own.
+    assert excinfo.value.__cause__ is None
+    assert "_trial" in [entry.name for entry in excinfo.traceback]
+
+
+class TwoArgError(Exception):
+    """An exception that does not unpickle: pickle rebuilds it from its one arg."""
+
+    def __init__(self, seed, why):
+        super().__init__(f"seed {seed}: {why}")
+
+
+def test_run_trials_raises_a_worker_exception_that_does_not_unpickle(monkeypatch, two_cpus):
+    basic = ENGINES["basic"]
+
+    def fails_at_seed_1(g, seed, config):
+        if seed == 1:
+            raise TwoArgError(seed, "two arguments")
+        return basic(g, seed, config)
+
+    monkeypatch.setitem(ENGINES, "basic", fails_at_seed_1)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
+    with pytest.raises(TwoArgError, match="^seed 1: two arguments$"):
+        run_trials(config)
 
 
 def test_run_trials_reissues_worker_warnings_in_the_caller(two_cpus):
@@ -281,14 +303,37 @@ def test_run_trials_reissues_worker_warnings_in_the_caller(two_cpus):
     assert len(caught) == 1
 
 
-def _batch_pids(config):
-    """Run a batch whose trials warn with their pid; return the caller's pid and theirs."""
+@pytest.mark.parametrize("action, shown, ran_here", [
+    ("default", 1, [0, 1, 2]),
+    ("always", 4, [0, 1, 2, 3]),
+    ("ignore", 0, [0, 2]),
+], ids=["default", "always", "ignore"])
+def test_run_trials_replays_the_worker_trials_whose_warnings_would_show(
+        monkeypatch, two_cpus, action, shown, ran_here):
+    # Every trial warns.  Seeds 0 and 2 run here; the worker's 1 and 3 run
+    # here again if the filters show their warning, and their appends to
+    # ``ran`` in the worker stay there.
+    basic, ran = ENGINES["basic"], []
+
+    def warns(g, seed, config):
+        ran.append(seed)
+        warnings.warn("every trial warns", RuntimeWarning)
+        return basic(g, seed, config)
+
+    monkeypatch.setitem(ENGINES, "basic", warns)
+    config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter(action)
         records = run_trials(config)
+    assert [r.seed for r in records] == [0, 1, 2, 3]
+    assert (len(caught), ran) == (shown, ran_here)
+
+
+def _batch_pids(config):
+    """Run a batch whose records carry the pid that ran them; return the caller's and theirs."""
+    records = run_trials(config)
     assert [r.seed for r in records] == list(config.seeds)
-    assert len(caught) == len(config.seeds)
-    return os.getpid(), {str(w.message) for w in caught}
+    return os.getpid(), {r.relax_calls for r in records}
 
 
 @pytest.mark.parametrize("cpus, setting, in_process", [
@@ -299,12 +344,12 @@ def _batch_pids(config):
     ({0, 1}, "multiprocessing worker", True),
 ], ids=["one-cpu", "two-cpus", "small-batch", "thread-running", "multiprocessing-worker"])
 def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, setting, in_process):
-    # Each trial warns with the id of the process that ran it.
+    # Each record's relax_calls is the id of the process that ran its trial.
     basic = ENGINES["basic"]
 
     def report_pid(g, seed, config):
-        warnings.warn(f"pid {os.getpid()}")
-        return basic(g, seed, config)
+        state, stats = basic(g, seed, config)
+        return state, stats._replace(relax_calls=os.getpid())
 
     monkeypatch.setitem(ENGINES, "basic", report_pid)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -325,7 +370,7 @@ def test_run_trials_uses_the_cpu_affinity_mask(monkeypatch, cpus, setting, in_pr
             caller, pids = pool.apply_async(_batch_pids, (config,)).get(timeout=60)
     else:
         caller, pids = _batch_pids(config)
-    assert (pids == {f"pid {caller}"}) == in_process
+    assert (pids == {caller}) == in_process
 
 
 def test_a_batch_forks_only_from_twice_the_break_even(monkeypatch):

@@ -26,6 +26,7 @@ from helpers import (
     reachable_from_source,
     reference_random_graph,
     shortest_simple_path_lengths,
+    tight_edges,
 )
 
 
@@ -45,7 +46,7 @@ def test_worst_case_path_tree_is_unique():
         g = worst_case_path(n)
         result = floyd_warshall(g)
         assert result.dist[0] == [float(v) for v in range(n)]
-        assert result.sp_edges == list(g.edges)
+        assert tight_edges(g, result.dist[0]) == list(g.edges)
         if n <= 8:
             # exhaustive simple-path enumeration agrees: one path per vertex
             assert shortest_simple_path_lengths(g) == [float(v) for v in range(n)]
@@ -274,4 +275,4 @@ def test_complete_over_path_keeps_the_path_tree():
     assert g.m == n * (n - 1)
     result = floyd_warshall(g)
     assert result.dist[0] == [float(v) for v in range(n)]
-    assert sorted(result.sp_edges) == [(i, i + 1, 1.0) for i in range(n - 1)]
+    assert sorted(tight_edges(g, result.dist[0])) == [(i, i + 1, 1.0) for i in range(n - 1)]

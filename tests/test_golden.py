@@ -3,9 +3,11 @@
 Each case runs ``cli.main`` in-process in a fresh directory holding a copy of
 ``tests/golden/inputs``, so no output holds a temporary path.  Its file holds
 the command, exit code, last stderr line, warnings, the sha256 of each file
-written, and stdout with all-digit ``wall_time_ns`` masked.  No case reaches
-``PARALLEL_MIN_EDGE_TRIALS`` edge-trials per process, so none forks.  Run as a
-script, stdlib only, this file regenerates the corpus (``PYTHONPATH=src``)."""
+written, and stdout with all-digit ``wall_time_ns`` masked.  One case,
+``FORKS``, has over twice ``PARALLEL_MIN_EDGE_TRIALS`` edge-trials, so it forks
+wherever two CPUs are usable, and a test checks that its file is the same in
+one process.  Run as a script, stdlib only, this file regenerates the corpus
+(``PYTHONPATH=src``)."""
 
 import contextlib
 import difflib
@@ -20,7 +22,8 @@ import traceback
 import warnings
 from pathlib import Path
 
-from relaxbench.cli import ALGORITHMS, TrialRecord, main
+from relaxbench import worst_case_path
+from relaxbench.cli import ALGORITHMS, TrialConfig, TrialRecord, _process_count, main
 
 CORPUS, INPUTS = (Path(__file__).resolve().parent / "golden" / d for d in ("cli", "inputs"))
 
@@ -40,6 +43,7 @@ C4 = "--gen planted-cycle --cycle-length 4 --cycle-weight -1"  # a planted 4-cyc
 P30 = f"{C4} --n 30 --m 120"
 DETECT = "--algorithm randomized --detect-cycles --check-oracle"
 P4 = "run --gen path-worst-case --n 4"
+FORKS = "run-path-4000-randomized-seeds-0-65"  # the one case that forks
 
 CASES = {}  # name -> the command line after `relaxbench`
 for graph, source in GRAPHS.items():
@@ -57,6 +61,9 @@ CASES.update({
     "run-sparse-check-oracle": f"run {SPARSE} --algorithm randomized --seeds 0:2 --check-oracle",
     "run-planted-200-detect-cycles-check-oracle": f"run {C4} --n 200 --m 1000 {DETECT} --seeds 0:2",
     "run-planted-30": f"run {P30} --algorithm randomized --seeds 0:8",
+    # 65 seeds x 3999 arcs: 259,935 edge-trials, so two processes run it
+    # wherever two CPUs are usable, and its records read the same either way.
+    FORKS: "run --gen path-worst-case --n 4000 --algorithm randomized --seeds 0:65",
     "run-planted-30-detect-cycles": f"run {P30} --algorithm randomized --seeds 0:8 --detect-cycles",
     # crlf/g.gr: lf/g.gr with CRLF line ends and a comment and a blank line before each line.
     "run-lf": f"run --input lf/g.gr {DETECT} --seeds 0:4",
@@ -83,7 +90,9 @@ CASES.update({
                                 " --algorithm randomized"),
     "run-source-with-gen": f"{P4} --source 2 --algorithm basic",
     # --source names an external id: from vertex 2 of loops.gr, vertex 1 is unreached.
+    # The label names a source other than 1.
     "verify-loops-source-2": "verify --input loops.gr --source 2",
+    "run-loops-source-2-basic": "run --input loops.gr --source 2 --algorithm basic",
     "verify-loops-source-9": "verify --input loops.gr --source 9",
     # --ordering needs yen and --strict-count needs basic.
     **{f"run-ordering-adversarial-{a}": f"{P4} --algorithm {a} --ordering adversarial"
@@ -168,6 +177,16 @@ def test_yen_and_randomized_records_equal_the_golden_file():
     # planted 4-cycle with and without detection: a changed counter shows as a diff.
     failures = _failures(["run-path-yen-ordering-adversarial", "run-path-yen-ordering-identity",
                           "run-planted-30", "run-planted-30-detect-cycles"])
+    assert not failures, "\n\n".join(failures)
+
+
+def test_the_forking_case_reads_the_same_in_one_process(monkeypatch):
+    config = TrialConfig(graph=worst_case_path(4000), algorithm="randomized", seeds=range(65))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _process_count(config) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _process_count(config) == 1
+    failures = _failures([FORKS])
     assert not failures, "\n\n".join(failures)
 
 

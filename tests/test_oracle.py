@@ -24,7 +24,6 @@ from helpers import (
     brute_force_negative_cycle,
     cycle_free_graphs,
     graphs,
-    reachable_from_source,
     shortest_simple_path_lengths,
 )
 
@@ -51,18 +50,6 @@ def test_unreachable_negative_cycle_not_flagged():
 def test_negative_self_loop_counts_when_reachable():
     assert floyd_warshall(Graph(2, ((0, 1, 1.0), (1, 1, -1.0)))).has_reachable_negative_cycle
     assert not floyd_warshall(Graph(2, ((1, 1, -1.0),))).has_reachable_negative_cycle
-
-
-def test_equal_weight_alternatives_both_in_sp_edges():
-    g = Graph(3, ((0, 2, 2.0), (0, 1, 1.0), (1, 2, 1.0)))
-    result = floyd_warshall(g)
-    assert set(result.sp_edges) == {(0, 2, 2.0), (0, 1, 1.0), (1, 2, 1.0)}
-
-
-def test_sp_edges_excludes_self_loops_and_unreachable_tails():
-    g = Graph(4, ((0, 1, 1.0), (1, 1, 0.0), (2, 3, 1.0)))
-    result = floyd_warshall(g)
-    assert result.sp_edges == [(0, 1, 1.0)]
 
 
 def test_oracle_cap_enforced():
@@ -105,17 +92,6 @@ def test_oracle_and_basic_engine_cross_check(data):
         return
     state, _ = run_basic(g)
     assert as_inf(state.dist) == result.dist[g.source]
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_sp_edges_preserve_reachability(data):
-    g = data.draw(graphs())
-    result = floyd_warshall(g)
-    if result.has_reachable_negative_cycle:
-        return
-    sub = Graph(g.n, tuple(result.sp_edges), source=g.source)
-    assert reachable_from_source(sub) == reachable_from_source(g)
 
 
 def test_simple_paths_match_distances_without_cycles():
