@@ -482,7 +482,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # A warning's source line is library internals (for the iteration cap, a
+    # line of ENGINES) that a command's user cannot act on.
+    return f"relaxbench: {category.__name__}: {message}\n"
+
+
 def entry() -> None:
+    """The ``relaxbench`` command: ``main`` with warnings printed without a source location."""
+    warnings.formatwarning = _format_warning
     sys.exit(main())
 
 

@@ -25,13 +25,14 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
 
     Distinct diagnostics: missing problem line, vertex count above
     ``sys.maxsize``, arc-count mismatch, vertex id out of range, non-integer
-    weight, weight too large for a float, non-ASCII byte.  Each names its line number and, where the line is at fault, the
-    line with surrounding whitespace stripped.
+    weight, non-ASCII byte.  Each names its line number and, where the line
+    is at fault, the line with surrounding whitespace stripped.  A weight is
+    an ``int`` of any size, so every sum over it is exact.
 
     The file is read as text and split on newlines, as iterating a text file
     splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
     ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` do not).  Each arc becomes the
-    canonical ``(int, int, float)`` tuple that ``Graph`` keeps as it is, and the
+    canonical ``(int, int, int)`` tuple that ``Graph`` keeps as it is, and the
     checks here refuse whatever ``Graph`` would, so the graph is built without
     checking each arc a second time.
     """
@@ -44,7 +45,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
                       - data.count(b"\r\n", 0, at) + 1)
             raise DimacsFormatError(f"line {lineno}: non-ASCII byte 0x{data[at]:02x}") from None
     n = m = None
-    edges: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, int]] = []
     append = edges.append
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -61,11 +62,9 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
             except ValueError:
                 raise DimacsFormatError(f"line {lineno}: malformed arc line {raw.strip()!r}") from None
             try:
-                w = float(int(parts[3]))
+                w = int(parts[3])
             except ValueError:
                 raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
-            except OverflowError:
-                raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
             if not 1 <= u <= n or not 1 <= v <= n:
                 raise DimacsFormatError(f"line {lineno}: vertex id out of range in {raw.strip()!r}")
             append((u - 1, v - 1, w))
@@ -96,14 +95,13 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:
     """Write a graph with integral weights as a .gr file (ids shifted to 1-based).
 
-    The first edge whose weight is not integral raises ``ValueError`` and
-    nothing is written.  ``%d`` prints an integral float as ``int`` would,
-    every digit of it, up to the largest finite float.
+    The first edge whose weight is not integral, a ``Fraction`` as ``Graph``
+    keeps it, raises ``ValueError`` and nothing is written.
     """
     lines = [f"p sp {g.n} {g.m}"]
     append = lines.append
     for u, v, w in g.edges:
-        if not w.is_integer():
+        if type(w) is not int:
             raise ValueError(f"DIMACS weights must be integers, got {w!r} on ({u}, {v})")
         append("a %d %d %d" % (u + 1, v + 1, w))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

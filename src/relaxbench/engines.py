@@ -11,17 +11,16 @@ through one relax body (yen's ascending then descending pass, adaptive's
 one), counts the descending scans it proves idle without performing them
 (see ``yen_iterations``), and closes the iteration.  A one-key pass skips
 ``heapify``.  ``yen_iterations`` also fast-forwards: once an iteration
-repeats the one before it shifted by a constant, with integral weights and
-distances of magnitude at most 2**51 so that the arithmetic is exact, it
-yields each later iteration by adding that constant, and counts that
-iteration's relax calls without performing them.  ``basic_passes`` is the
-plain sweep over the edge list.  ``relax_calls`` is the paper's count for
-every engine.  Both kernels compare against a shadow of ``state.dist``,
-built when a generator starts, that holds NaN where ``dist`` holds None
-(unreached); this keeps a ``None`` test out of every relaxation (see
-``_iterate``).  While a generator is live it owns ``state.dist``,
-``state.pred`` and ``state.frontier``: a caller must not write them between
-steps.  The engines:
+repeats the one before it shifted by a constant, it yields each later
+iteration by adding that constant, and counts that iteration's relax calls
+without performing them.  ``basic_passes`` is the plain sweep over the edge
+list.  Weights are exact (see ``Graph``), so every sum and comparison is.
+``relax_calls`` is the paper's count for every engine.  Both kernels compare
+against a shadow of ``state.dist``, built when a generator starts, that holds
+NaN where ``dist`` holds None (unreached); this keeps a ``None`` test out of
+every relaxation (see ``_iterate``).  While a generator is live it owns
+``state.dist``, ``state.pred`` and ``state.frontier``: a caller must not
+write them between steps.  The engines:
 
 * ``run_basic``       fixed n-1 passes over the whole edge list;
 * ``run_adaptive``    one kernel pass per iteration over the vertices whose
@@ -41,10 +40,10 @@ from __future__ import annotations
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import copysign, nan
+from math import nan
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .graph import Edge, Graph, Ordering, random_ordering, rank_adjacency
+from .graph import Edge, Graph, Ordering, Weight, random_ordering, rank_adjacency
 
 
 class SsspState:
@@ -67,9 +66,9 @@ class SsspState:
                  "relax_calls", "improvements", "iterations")
 
     def __init__(self, g: Graph):
-        self.dist: list[Optional[float]] = [None] * g.n
+        self.dist: list[Optional[Weight]] = [None] * g.n
         self.pred: list[Optional[int]] = [None] * g.n
-        self.dist[g.source] = 0.0
+        self.dist[g.source] = 0
         self.frontier: list[int] = [g.source]
         self.changed_now = bytearray(g.n)
         self._changed_order: list[int] = []
@@ -160,7 +159,7 @@ WIDE_PASS_DIVISOR = 64
 
 def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]],
                                     Sequence[int], list[list[Edge]]]],
-             idle_adj: Optional[list[list[Edge]]], d: list[float], state: SsspState) -> None:
+             idle_adj: Optional[list[list[Edge]]], d: list, state: SsspState) -> None:
     """Run one outer iteration: each pass of ``passes`` in turn, then ``end_iteration``.
 
     A pass ``(start_key, key, vertex_at, adj)`` relaxes the out-edges in
@@ -183,13 +182,11 @@ def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]]
     The body reads ``d``, a shadow of ``state.dist`` with NaN where ``dist``
     holds None, and writes an improvement to both lists.  Its test
     ``not d[v] <= du + w`` is the rule's ``dv is None or dv > alt`` exactly:
-    ``NaN <= x`` is false for every x, so an unreached head always improves,
-    and for any other ``d[v]`` it is ``d[v] > alt`` because ``alt`` is never
-    NaN: weights are finite and only reached tails are taken, so a sum that
-    overflows is +-inf (an +inf shadow would fail here, as ``inf > inf`` is
-    false).  The sum is computed again on an improvement, rather than kept
-    from the test, which is cheaper on the many edges that do not improve;
-    float addition is deterministic, so both give the same ``alt``.
+    ``NaN <= x`` is false for an int or a ``Fraction`` x, so an unreached
+    head always improves, and for any other ``d[v]`` it is ``d[v] > alt``
+    because ``alt``, a sum of a reached distance and a weight, is an exact
+    number.  The sum is computed again on an improvement, rather than kept
+    from the test, which is cheaper on the many edges that do not improve.
 
     A pass's work set takes one of two forms, picked from its starting size.
     A narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
@@ -293,20 +290,15 @@ def yen_iterations(g: Graph, ordering: Ordering,
     generator's second iteration on, an iteration is one function F of the
     distances and the frontier set; F does not read ``pred``.  Suppose the
     generator's iteration k >= 2 left the frontier as it found it, moved
-    every reached distance by the same c != 0 and reached no new vertex,
-    and that every weight and every distance before and after it is an
-    integer of magnitude at most EXACT_BOUND = 2**51.  Then iteration k + 1
-    makes the same comparisons as iteration k, since every sum is exact and
-    c more than its counterpart: it moves every reached distance by c,
-    rewrites ``pred`` with the values it already holds and leaves the
-    frontier as it is.  So the generator yields it, and each one after it,
-    by adding c to the distances and iteration k's relax calls and
-    improvements to the counters, in O(|frontier|); before a distance would
-    leave the bound, ``_iterate`` takes over again.  No weight may be -0.0,
-    the only source of a -0.0 distance, whose sign an added c would lose.
-    The test costs one list comparison per iteration until two consecutive
-    frontiers are equal; only then does it copy ``dist``, and only once a
-    shift holds does it read the weights.
+    every reached distance by the same c != 0 and reached no new vertex.
+    Then iteration k + 1 makes the same comparisons as iteration k, since
+    every sum is exact and c more than its counterpart: it moves every
+    reached distance by c, rewrites ``pred`` with the values it already
+    holds and leaves the frontier as it is.  So the generator yields it, and
+    each one after it, by adding c to the distances and iteration k's relax
+    calls and improvements to the counters, in O(|frontier|).  The test
+    costs one list comparison per iteration until two consecutive frontiers
+    are equal; only then does it copy ``dist``.
 
     The relaxation sequence, and therefore ``dist``, ``pred`` and every
     counter, is that of a rank-order scan applying the rule.
@@ -324,7 +316,7 @@ def yen_iterations(g: Graph, ordering: Ordering,
               (down_key, down_key, by_rank[::-1], down_adj))
 
     d = [nan if x is None else x for x in state.dist]
-    idle_adj = before = exact_weights = None
+    idle_adj = before = None
     while state.frontier:
         frontier = state.frontier
         _iterate(passes, idle_adj, d, state)
@@ -339,34 +331,17 @@ def yen_iterations(g: Graph, ordering: Ordering,
             dist, calls, imps = before
             c = _uniform_shift(dist, state.dist)
             if c is not None:
-                if exact_weights is None:
-                    exact_weights = _exact_weights(g)
-                if exact_weights:
-                    yield from _shifted_iterations(state, d, c, state.relax_calls - calls,
-                                                   state.improvements - imps)
+                yield from _shifted_iterations(state, d, c, state.relax_calls - calls,
+                                               state.improvements - imps)
         before = state.dist.copy(), state.relax_calls, state.improvements
 
 
-# Integers of at most this magnitude add and compare exactly as floats: a sum
-# of two of them is at most 2**52.
-EXACT_BOUND = 2.0 ** 51
-
-
-def _exact_weights(g: Graph) -> bool:
-    """True iff every weight is an integer of magnitude at most EXACT_BOUND, none -0.0."""
-    ws = [w for _, _, w in g.edges]
-    return (all(map(float.is_integer, ws))
-            and -EXACT_BOUND <= min(ws) and max(ws) <= EXACT_BOUND
-            and all(copysign(1.0, w) > 0 for w in ws if not w))
-
-
-def _uniform_shift(before: list[Optional[float]],
-                   after: list[Optional[float]]) -> Optional[float]:
+def _uniform_shift(before: list[Optional[Weight]],
+                   after: list[Optional[Weight]]) -> Optional[Weight]:
     """The c != 0 with ``after[v] == before[v] + c`` at every reached v, or None.
 
-    None also unless both lists hold None at the same vertices and every
-    finite value in either is an integer of magnitude at most EXACT_BOUND.
-    The test stops at the first vertex that breaks it.
+    None also unless both lists hold None at the same vertices.  The test
+    stops at the first vertex that breaks it.
     """
     c = None
     for a, b in zip(before, after):
@@ -377,29 +352,20 @@ def _uniform_shift(before: list[Optional[float]],
             c = b - a
         elif b - a != c:
             return None
-    if not c:
-        return None
-    finite = [x for x in chain(before, after) if x is not None]
-    if (-EXACT_BOUND <= min(finite) and max(finite) <= EXACT_BOUND
-            and all(x % 1 == 0 for x in finite)):
-        return c
-    return None
+    return c or None
 
 
-def _shifted_iterations(state: SsspState, d: list[float], c: float,
+def _shifted_iterations(state: SsspState, d: list, c: Weight,
                         calls: int, imps: int) -> Iterator[SsspState]:
     """Yield the iterations that repeat the last one shifted by c (see ``yen_iterations``).
 
     Every reached vertex is in the frontier, since each moved by c != 0.
     Each step adds c to their distances and to the shadow ``d``, adds the
     repeated iteration's ``calls`` and ``imps`` to the counters, and gives
-    the frontier a copy of itself; it stops before a distance would leave
-    [-EXACT_BOUND, EXACT_BOUND].
+    the frontier a copy of itself; the steps never end, so the caller stops.
     """
     dist, frontier = state.dist, state.frontier
-    reached = [dist[v] for v in frontier]
-    lo, hi = min(reached) + c, max(reached) + c
-    while -EXACT_BOUND <= lo and hi <= EXACT_BOUND:
+    while True:
         for v in frontier:
             d[v] = dist[v] = dist[v] + c
         state.relax_calls += calls
@@ -407,8 +373,6 @@ def _shifted_iterations(state: SsspState, d: list[float], c: float,
         state.iterations += 1
         state.frontier = frontier = frontier.copy()
         yield state
-        lo += c
-        hi += c
 
 
 def _drain_capped(g: Graph, state: SsspState, iterator: Iterator[SsspState],

@@ -15,10 +15,15 @@ import random
 import sys
 from collections import namedtuple
 from itertools import chain
-from math import inf, isfinite
-from typing import Callable, NamedTuple, Sequence, Tuple
+from math import isfinite
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple, Union
 
-Edge = Tuple[int, int, float]  # (tail, head, weight)
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# An exact weight or distance: an int, or a Fraction that is not integral.
+Weight = Union[int, "Fraction"]
+Edge = Tuple[int, int, Weight]  # (tail, head, weight)
 
 
 def _checked_make(cls, fields):
@@ -29,15 +34,18 @@ def _checked_make(cls, fields):
 class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     """Immutable directed weighted multigraph with a source vertex.
 
-    Parallel edges and self-loops are allowed.  Weights must be finite
-    (no NaN or infinities).  Instances are safe to share across threads.
+    Parallel edges and self-loops are allowed.  Weights are exact, so every
+    sum and comparison of distances is: an integral weight of any type
+    becomes an ``int``, and any other becomes a ``Fraction`` as
+    ``Fraction()`` converts it (a decimal string included).  A float that is
+    not an integer, NaN and the infinities included, raises ``ValueError``
+    naming the edge.  Instances are safe to share across threads.
 
-    ``edges`` holds canonical ``(int, int, float)`` tuples.  An input edge that
-    is one already, a tuple whose endpoints have type exactly ``int`` and lie
-    in [0, n) and whose weight has type exactly ``float`` and is finite, is
-    kept as the same object, as the generators build them; any other edge is
-    converted with ``int`` and ``float`` and checked.  ``load_dimacs``, which
-    checks each arc as it parses it, builds its graph without this check.
+    ``edges`` holds ``(int, int, weight)`` tuples.  An input edge that is a
+    tuple of three values of type exactly ``int``, with endpoints in [0, n),
+    is kept as the same object, as the generators build them; any other edge
+    is converted and checked.  ``load_dimacs``, which checks each arc as it
+    parses it, builds its graph without this check.
     """
 
     __slots__ = ()
@@ -52,8 +60,8 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
         canon = []
         for e in edges:
             u, v, w = e
-            if not (type(e) is tuple and type(u) is int and type(v) is int and type(w) is float
-                    and 0 <= u < n and 0 <= v < n and -inf < w < inf):
+            if not (type(e) is tuple and type(u) is int and type(v) is int and type(w) is int
+                    and 0 <= u < n and 0 <= v < n):
                 e = _canonical_edge(e, n)
             canon.append(e)
         return super().__new__(cls, n, tuple(canon), source)
@@ -83,21 +91,31 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
 
 
 def _canonical_edge(e, n: int) -> Edge:
-    """Convert one edge to ``(int, int, float)``, refusing what ``Graph`` cannot hold."""
+    """Convert one edge to ``(int, int, weight)``, refusing what ``Graph`` cannot hold."""
     u, v, w = e
     try:
         u, v = int(u), int(v)
     except (OverflowError, ValueError):
         raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
-    try:
-        w = float(w)
-    except OverflowError:
-        raise ValueError(f"edge ({u}, {v}) has a weight too large for a float") from None
     if not 0 <= u < n or not 0 <= v < n:
         raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-    if not isfinite(w):
-        raise ValueError(f"edge ({u}, {v}) has non-finite weight {w!r}")
-    return u, v, w
+    if isinstance(w, float):
+        if not isfinite(w):
+            raise ValueError(f"edge ({u}, {v}) has non-finite weight {w!r}")
+        if not w.is_integer():
+            raise ValueError(f"edge ({u}, {v}) has weight {w!r}, a float that is not an "
+                             "integer; give a Fraction for an exact fractional weight")
+    elif not isinstance(w, int):
+        from fractions import Fraction  # only such a weight pays for importing it
+
+        try:
+            w = Fraction(w)
+        except (OverflowError, ValueError):
+            raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a finite rational "
+                             "number") from None
+        if w.denominator != 1:
+            return u, v, w
+    return u, v, int(w)
 
 
 class Ordering(namedtuple("Ordering", "rank")):

@@ -20,7 +20,7 @@ import math
 from typing import List, NamedTuple, Optional, Sequence
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
-from .graph import Graph, random_ordering
+from .graph import Graph, Weight, random_ordering
 from .permstats import check_c
 
 
@@ -99,7 +99,7 @@ def detection_start(n: int, c: float) -> int:
     return min(iteration_threshold(n, c), iteration_cap(n))
 
 
-def _negative_self_loop(g: Graph, dist: Sequence[Optional[float]]) -> Optional[List[int]]:
+def _negative_self_loop(g: Graph, dist: Sequence[Optional[Weight]]) -> Optional[List[int]]:
     # The certificate on a converged run.  No pass relaxes a self-loop, so a
     # negative self-loop on a reached vertex is the one reachable negative
     # cycle left to report; the smallest such vertex is the certificate.
@@ -115,11 +115,11 @@ def _extract_graph_cycle(g: Graph, pp_cycle: List[int]) -> List[int]:
     # own tail and one pass over the edges keyed by tail finds them all.
     cycle = list(reversed(pp_cycle))
     succ = {a: cycle[(i + 1) % len(cycle)] for i, a in enumerate(cycle)}
-    cheapest: dict[int, float] = {}
+    cheapest: dict[int, Weight] = {}
     for u, v, w in g.edges:
         if succ.get(u) == v and (u not in cheapest or w < cheapest[u]):
             cheapest[u] = w
-    total = 0.0
+    total = 0
     for a in cycle:
         w = cheapest.get(a)
         if w is None:

@@ -3,16 +3,17 @@
 Nothing here shares code with the engines or the detectors: distances come
 from an all-pairs Floyd-Warshall recurrence over an adjacency matrix, and
 ``certify`` checks one verdict's certificate in linear time at any n.  The
-oracle represents "no path" as ``math.inf`` internally (engines use ``None``);
-callers convert when comparing.
+oracle represents "no path" as ``math.inf`` (engines use ``None``); callers
+convert when comparing.  Distances are exact: the oracle compares with
+``inf`` but never adds to it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Union
 
-from .graph import Graph
+from .graph import Graph, Weight
 
 ORACLE_CAP = 256
 
@@ -25,7 +26,7 @@ class OracleResult(NamedTuple):
     diagonal sign and the reachable-negative-cycle flag are always valid.
     """
 
-    dist: List[List[float]]
+    dist: List[List[Union[Weight, float]]]
     has_reachable_negative_cycle: bool
 
 
@@ -42,18 +43,21 @@ def floyd_warshall(g: Graph) -> OracleResult:
     inf = math.inf
     dist = [[inf] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = 0.0
+        dist[i][i] = 0
     for u, v, w in g.edges:
         if w < dist[u][v]:
             dist[u][v] = w
     for k in range(n):
         dk = dist[k]
+        # Row k gains no finite entry while k is the pivot: through an inf
+        # entry of it, no route improves.
+        reached = [j for j in range(n) if dk[j] != inf]
         for i in range(n):
             dik = dist[i][k]
             if dik == inf:
                 continue
             di = dist[i]
-            for j in range(n):
+            for j in reached:
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
@@ -76,7 +80,7 @@ def _reached_from(adj: List[List[int]], s: int) -> bytearray:
     return seen
 
 
-def certify(g: Graph, dist: Sequence[Optional[float]],
+def certify(g: Graph, dist: Sequence[Optional[Weight]],
             cycle: Optional[Sequence[int]] = None) -> Optional[str]:
     """Check one verdict against its certificate; return the flaw, or None.
 

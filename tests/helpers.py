@@ -25,7 +25,7 @@ def as_inf(dist):
     return [math.inf if d is None else d for d in dist]
 
 
-def relax(state: SsspState, u: int, v: int, w: float) -> bool:
+def relax(state: SsspState, u: int, v: int, w) -> bool:
     """The relaxation rule: relax u -> v of weight w; return True iff dist[v] dropped.
 
     Requires u to be reached (callers skip unreached tails).  Every call
@@ -168,7 +168,7 @@ def brute_force_negative_cycle(g: Graph) -> bool:
                 on_path.remove(v)
 
     for root in sorted(reach):
-        walk(root, root, 0.0, {root})
+        walk(root, root, 0, {root})
         if found:
             return True
     return False
@@ -181,7 +181,7 @@ def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
     """Length of the shortest *simple* path from the source to each vertex.
 
     Brute-force enumeration of every simple path, so the graph must have at
-    most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0.0 (the empty path); unreachable
+    most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0 (the empty path); unreachable
     vertices get ``None``.  Well-defined even when negative cycles exist,
     which is exactly why the detectors' tests need it.
     """
@@ -202,7 +202,7 @@ def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
         adj[u].append((v, w))
 
     best: list[float] = [math.inf] * n
-    best[s] = 0.0
+    best[s] = 0
     on_path = bytearray(n)
 
     def walk(u: int, acc: float) -> None:
@@ -217,7 +217,7 @@ def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
                 walk(v, total)
         on_path[u] = 0
 
-    walk(s, 0.0)
+    walk(s, 0)
     return [b if b < math.inf else None for b in best]
 
 
@@ -246,9 +246,7 @@ def graphs(draw, max_n=6, min_weight=-3, max_weight=7, max_edges=12,
         st.integers(min_weight, max_weight) if weights is None else weights,
     )
     raw = draw(st.lists(edge, min_size=0, max_size=max_edges))
-    edges = tuple(
-        (u, v, float(w)) for u, v, w in raw if allow_loops or u != v
-    )
+    edges = tuple((u, v, w) for u, v, w in raw if allow_loops or u != v)
     source = draw(st.integers(0, n - 1)) if any_source else 0
     return Graph(n, edges, source=source)
 
@@ -273,9 +271,8 @@ def orderings_for(draw, g: Graph):
     return Ordering(tuple(rank))
 
 
-# Weights whose sums leave the float range, so tentative distances reach
-# +-inf while every weight stays finite.
-overflow_weights = st.sampled_from((1e308, -1e308, 1.7e308, -1.7e308, -1.0, 0.0, 3.0))
+# Weights whose sums leave the float range, where an int sum stays exact.
+overflow_weights = st.sampled_from((10**308, -10**308, 17 * 10**307, -17 * 10**307, -1, 0, 3))
 
 
 def reference_load_dimacs(path, source: int = 1) -> Graph:
@@ -292,7 +289,7 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
         lineno = len(lines) + (not lines or lines[-1].endswith("\n"))
         raise DimacsFormatError(f"line {lineno}: non-ASCII byte 0x{data[bad]:02x}")
     n = m = None
-    edges: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -320,11 +317,9 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
                 try:
-                    w = float(int(parts[3]))
+                    w = int(parts[3])
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
-                except OverflowError:
-                    raise DimacsFormatError(f"line {lineno}: weight too large for a float") from None
                 if not 1 <= u <= n or not 1 <= v <= n:
                     raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")
                 edges.append((u - 1, v - 1, w))
@@ -360,12 +355,12 @@ def reference_random_graph(spec) -> Graph:
     base_m = spec.base_edge_count()
     full = n * (n - 1)
     reachable = spec.ensure_reachable or spec.kind == "planted-cycle"
-    edges: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, int]] = []
     if base_m == full:
         for u in range(n):
             for v in range(n):
                 if u != v:
-                    edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+                    edges.append((u, v, rng.randint(spec.weight_min, spec.weight_max)))
     else:
         if reachable and n > 1:
             attach_order = list(range(1, n))
@@ -373,7 +368,7 @@ def reference_random_graph(spec) -> Graph:
             connected = [0]
             for v in attach_order:
                 parent = connected[rng.randrange(len(connected))]
-                edges.append((parent, v, 0.0))
+                edges.append((parent, v, 0))
                 connected.append(v)
         used = {u * (n - 1) + (v - 1 if v > u else v) for u, v, _ in edges}
         while len(edges) < base_m:
@@ -383,13 +378,13 @@ def reference_random_graph(spec) -> Graph:
             used.add(idx)
             u, r = divmod(idx, n - 1)
             v = r if r < u else r + 1
-            edges.append((u, v, float(rng.randint(spec.weight_min, spec.weight_max))))
+            edges.append((u, v, rng.randint(spec.weight_min, spec.weight_max)))
     if spec.kind == "planted-cycle":
         length = spec.cycle_length
         cycle_vertices = rng.sample(range(n), length)
-        closing = float(spec.cycle_weight - (length - 1))
+        closing = spec.cycle_weight - (length - 1)
         for i in range(length):
-            w = closing if i == length - 1 else 1.0
+            w = closing if i == length - 1 else 1
             edges.append((cycle_vertices[i], cycle_vertices[(i + 1) % length], w))
     return Graph(n, tuple(edges), source=0)
 

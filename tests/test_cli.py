@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -285,6 +287,26 @@ def test_run_trials_raises_a_worker_exception_that_does_not_unpickle(monkeypatch
     config = TrialConfig(graph=worst_case_path(5), algorithm="basic", seeds=[0, 1, 2, 3])
     with pytest.raises(TwoArgError, match="^seed 1: two arguments$"):
         run_trials(config)
+
+
+def test_the_command_prints_a_warning_without_a_source_location(tmp_path):
+    # The iteration cap's warning comes from a line of the engine table,
+    # which tells the command's user nothing; main(), a library call, keeps
+    # Python's own format.
+    argv = ["run", "--gen", "planted-cycle", "--n", "30", "--m", "120", "--cycle-length", "4",
+            "--cycle-weight", "-1", "--algorithm", "adaptive"]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "relaxbench.cli", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("relaxbench: RuntimeWarning: run_adaptive: iteration cap 31 hit with "
+                           "work remaining; the input likely has a negative cycle reachable "
+                           "from the source\n")
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert warnings.formatwarning is formatwarning
 
 
 def test_run_trials_reissues_worker_warnings_in_the_caller(two_cpus):

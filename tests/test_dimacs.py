@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,8 +74,9 @@ def test_non_integer_weight(tmp_path):
 
 
 def test_weight_too_large_for_a_float(tmp_path):
-    with pytest.raises(DimacsFormatError, match="line 3: weight too large for a float"):
-        _load(tmp_path, f"p sp 2 2\na 1 2 1\na 2 1 {10**400}\n")
+    # An int holds it exactly.
+    g = _load(tmp_path, f"p sp 2 2\na 1 2 1\na 2 1 {10**400}\n")
+    assert g.edges == ((0, 1, 1), (1, 0, 10**400))
 
 
 def test_unrecognized_and_duplicate_lines(tmp_path):
@@ -85,14 +87,14 @@ def test_unrecognized_and_duplicate_lines(tmp_path):
 
 
 def test_write_rejects_fractional_weights(tmp_path):
-    g = Graph(3, ((0, 1, 1.0), (1, 2, 2.5), (2, 0, 0.5)))
+    g = Graph(3, ((0, 1, 1), (1, 2, Fraction(5, 2)), (2, 0, Fraction(1, 2))))
     path = tmp_path / "bad.gr"
     with pytest.raises(ValueError) as excinfo:
         write_dimacs(g, path)
     with pytest.raises(ValueError) as expected:
         reference_dimacs_text(g)
     assert str(excinfo.value) == str(expected.value) == \
-        "DIMACS weights must be integers, got 2.5 on (1, 2)"
+        "DIMACS weights must be integers, got Fraction(5, 2) on (1, 2)"
     assert not path.exists()
 
 
@@ -184,7 +186,7 @@ def test_load_matches_the_line_by_line_reference(tmp_path_factory, case):
     got = _outcome(load_dimacs, path, source)
     assert got == _outcome(reference_load_dimacs, path, source)
     if isinstance(got[0], Graph):
-        assert all(types == (int, int, float) for types in got[1])
+        assert all(types == (int, int, int) for types in got[1])
 
 
 def test_load_splits_only_on_newlines(tmp_path):
@@ -223,7 +225,7 @@ def test_load_builds_the_graph_that_graph_would_check():
         assert type(g) is Graph and g == checked, path
         assert all(a is b for a, b in zip(g.edges, checked.edges)), path
         loaded += 1
-    assert loaded == 7
+    assert loaded == 9
 
 
 _ID = st.one_of(st.integers(-1, 6), st.sampled_from((sys.maxsize, sys.maxsize + 1, 2**64)))
@@ -256,6 +258,7 @@ _integral = st.one_of(
     st.integers(-2**60, 2**60).map(float),
     st.floats(-1e308, 1e308, allow_nan=False).map(lambda x: float(math.trunc(x))),
     st.sampled_from((1e308, -1e308, sys.float_info.max, -sys.float_info.max, -0.0, 2.0**53 + 2)),
+    st.sampled_from((10**400, -10**400, 2**60 + 1, -2**53 - 1)),
 )
 
 

@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
@@ -220,15 +221,15 @@ def test_yen_kernel_matches_guard_scan_across_the_wide_pass_threshold():
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mode):
-    # The kernel compares against a NaN shadow of dist; with distances at
-    # +-inf it must still step exactly as the None-based reference does, and
-    # no NaN may ever reach state.dist.
+    # The kernel compares against a NaN shadow of dist; with sums beyond the
+    # float range it must still step exactly as the None-based reference
+    # does, and every distance it leaves is an exact int, never a NaN or inf.
     g = data.draw(graphs(max_n=8, max_edges=24, weights=overflow_weights))
     ordering = data.draw(orderings_for(g))
     for _ in each_work_set_mode():
         assert_kernel_matches_guard_scan(g, ordering)
         for state in islice(yen_iterations(g, ordering), g.n + 1):
-            assert not any(d is not None and math.isnan(d) for d in state.dist)
+            assert all(d is None or type(d) is int for d in state.dist)
 
 
 @given(data=st.data())
@@ -305,30 +306,32 @@ def test_yen_fast_forward_steps_as_the_guard_scan(monkeypatch):
 
 # A reachable 2-cycle of weight -2: from the third iteration on, each
 # iteration is the one before it shifted by -2, and vertex 2 is never reached.
-TWO_CYCLE = ((0, 1, 1.0), (1, 0, -3.0), (2, 0, 1.0))
+TWO_CYCLE = ((0, 1, 1), (1, 0, -3), (2, 0, 1))
 
 
-@pytest.mark.parametrize("extra, fires", [
-    ((), True),
-    (((0, 1, engines.EXACT_BOUND),), True),
-    (((2, 1, -engines.EXACT_BOUND),), True),
-    (((0, 1, engines.EXACT_BOUND + 1),), False),
-    (((2, 1, -engines.EXACT_BOUND - 1),), False),
-    (((2, 2, 0.5),), False),
-    (((0, 1, 0.0),), True),
-    (((0, 1, -0.0),), False),
+@pytest.mark.parametrize("extra", [
+    (),
+    ((1, 0, -2**51),),
+    ((2, 1, -2**51),),
+    ((1, 0, 1 - 2**60),),
+    ((2, 1, -2**60 - 1),),
+    ((2, 2, Fraction(1, 2)), (1, 0, Fraction(-10, 3))),
+    ((0, 1, 0),),
+    ((0, 1, -0.0),),
 ], ids=["plain", "bound", "minus-bound", "above-bound", "below-minus-bound", "fractional",
         "zero", "minus-zero"])
-def test_yen_fast_forwards_only_with_exact_weights(monkeypatch, extra, fires):
-    # Any weight that is fractional, above 2**51 in magnitude or -0.0 turns
-    # the rule off, also on an edge that no pass relaxes or improves along.
+def test_yen_fast_forwards_only_with_exact_weights(monkeypatch, extra):
+    # Every weight is exact, so the rule fires on every input here, also where
+    # the cycle weighs 2 - 2**60, which a float cannot hold, or -7/3, and
+    # where a weight of magnitude above 2**51 lies on an unreached tail.
     g = Graph(3, TWO_CYCLE + extra)
     log = _record_shifted_steps(monkeypatch)
     for ordering in all_orderings(g):
+        log.clear()
         assert (_steps_past_the_cap(yen_iterations(g, ordering), g)
                 == _steps_past_the_cap(guard_scan_yen_iterations(g, ordering), g))
-    assert bool(log) == fires
-    assert all(len(dist) == 2 for _, dist in log)  # vertex 2 stays unreached
+        assert log
+        assert all(len(dist) == 2 for _, dist in log)  # vertex 2 stays unreached
 
 
 def test_yen_fast_forward_waits_for_the_frontier_to_repeat(monkeypatch):
@@ -345,29 +348,31 @@ def test_yen_fast_forward_waits_for_the_frontier_to_repeat(monkeypatch):
     assert log and log[0][0] > 8
 
 
-def test_yen_fast_forward_stops_before_distances_leave_the_exact_range(monkeypatch):
-    # The cycle's distances fall by 2**47 an iteration, so they cross -2**51
-    # within 20 iterations; every shifted step stays above it, and ``_iterate``
-    # runs the iterations after.
-    g = Graph(2, ((0, 1, -2.0**46), (1, 0, -2.0**46)))
+def test_yen_fast_forward_runs_past_the_float_exact_range(monkeypatch):
+    # The cycle's distances fall by 2**47 + 1 an iteration, so they pass
+    # -2**53, below which a float cannot hold every integer, within 70
+    # iterations; the generator yields every iteration from its first shifted
+    # one on by adding the shift, each one exact.
+    g = Graph(2, ((0, 1, -2**46), (1, 0, -2**46 - 1)))
     ordering = Ordering((0, 1))
     log = _record_shifted_steps(monkeypatch)
-    steps = _steps(yen_iterations(g, ordering), g, 30)
-    assert steps == _steps(guard_scan_yen_iterations(g, ordering), g, 30)
-    assert log and all(min(dist) >= -engines.EXACT_BOUND for _, dist in log)
-    assert min(steps[-1][0]) < -engines.EXACT_BOUND and log[-1][0] < 30
+    steps = _steps(yen_iterations(g, ordering), g, 80)
+    assert steps == _steps(guard_scan_yen_iterations(g, ordering), g, 80)
+    assert min(steps[-1][0]) < -2**53
+    assert log and [t for t, _ in log] == list(range(log[0][0], 81)) and log[0][0] < 10
 
 
 @pytest.mark.parametrize("before, after, shift", [
-    ([None, 0.0, 1.0], [None, -2.0, -1.0], -2.0),
-    ([0.0, 2.0**51], [-1.0, 2.0**51 - 1], -1.0),  # 2**51 is within the bound
-    ([0.0, 1.0], [0.0, 1.0], None),  # no shift
-    ([0.0, 1.0], [-1.0, -1.0], None),  # two shifts
-    ([0.0, None], [-1.0, 0.0], None),  # a vertex reached
-    ([0.5, 1.5], [-0.5, 0.5], None),  # fractional
-    ([0.0, 2.0**51 + 1], [-1.0, 2.0**51], None),  # beyond 2**51 before the iteration
-    ([0.0, -2.0**51], [-1.0, -2.0**51 - 1], None),  # beyond it after
-    ([0.0, math.inf], [-1.0, math.inf], None),
+    ([None, 0, 1], [None, -2, -1], -2),
+    ([0, 2**60 + 1], [-1, 2**60], -1),  # a float sees no shift: it holds both as 2**60
+    ([0, 1], [0, 1], None),  # no shift
+    ([0, 1], [-1, -1], None),  # two shifts
+    ([0, None], [-1, 0], None),  # a vertex reached
+    ([0, Fraction(1, 3)], [Fraction(1, 10), Fraction(13, 30) + Fraction(1, 10**30)], None),
+    ([0, 2**60], [-256, 2**60 - 255], None),  # a float rounds -255 to -256 at 2**60
+    ([0, -2**60], [-256, -2**60 - 257], None),  # and -257 to -256
+    ([0, 1], [-1, None], None),  # a vertex no longer reached
+    ([Fraction(1, 3), 0], [0, Fraction(-1, 3)], Fraction(-1, 3)),
 ])
 def test_uniform_shift(before, after, shift):
     assert engines._uniform_shift(before, after) == shift
@@ -483,8 +488,9 @@ def assert_basic_and_adaptive_match_reference(g):
     assert _steps(adaptive_iterations(g), g) == _steps(reference_adaptive_iterations(g), g)
 
 
-# Self-loops, negative weights and cycles; with overflow_weights, sums reach
-# +-inf, and the engines' NaN shadow must still step as the None-based rule.
+# Self-loops, negative weights and cycles; with overflow_weights, sums leave
+# the float range, and the engines' NaN shadow must still step as the
+# None-based rule.
 @pytest.mark.parametrize("weights", [None, overflow_weights], ids=["small", "overflow"])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None,
@@ -505,18 +511,19 @@ def test_adaptive_feeds_a_self_loops_improvement_to_the_tails_later_edges(each_w
 
 
 @pytest.mark.parametrize("g, dist, pred", [
-    # inf is not below inf, but the unreached vertex 2 must still be reached.
-    (Graph(3, ((0, 1, 1e308), (1, 2, 1e308))), [0.0, 1e308, math.inf], [None, 0, 1]),
-    (Graph(3, ((0, 1, -1e308), (1, 2, -1e308))), [0.0, -1e308, -math.inf], [None, 0, 1]),
-    # A finite route replaces an overflowed one, whichever is found first.
-    (Graph(4, ((0, 1, 1e308), (1, 2, 1e308), (0, 3, 1.7e308), (3, 2, -1e308))),
-     [0.0, 1e308, 1.7e308 - 1e308, 1.7e308], [None, 0, 3, 0]),
+    # A float sum of these weights is +-inf; an int sum is exact.
+    (Graph(3, ((0, 1, 10**308), (1, 2, 10**308))), [0, 10**308, 2 * 10**308], [None, 0, 1]),
+    (Graph(3, ((0, 1, -10**308), (1, 2, -10**308))), [0, -10**308, -2 * 10**308], [None, 0, 1]),
+    # The cheaper route replaces the other, whichever is found first.
+    (Graph(4, ((0, 1, 10**308), (1, 2, 10**308), (0, 3, 17 * 10**307), (3, 2, -10**308))),
+     [0, 10**308, 7 * 10**307, 17 * 10**307], [None, 0, 3, 0]),
 ])
 def test_yen_distances_that_overflow_to_inf(g, dist, pred, each_work_set_mode):
     for _ in each_work_set_mode():
         for ordering in all_orderings(g):
             state, _ = run_yen(g, ordering)
             assert state.dist == dist and state.pred == pred
+            assert all(type(d) is int for d in state.dist)
 
 
 @pytest.mark.parametrize("rank", [(0, 1), (0, 1, 2, 3), (1, 0, 2)])
@@ -611,7 +618,7 @@ def test_iteration_count_is_weight_independent_on_fixed_tree():
     ordering = adversarial_ordering(n)
     base = worst_case_path(n)
     _, base_stats = run_yen(base, ordering)
-    for scale in ((3.0,) * (n - 1), tuple(float(k + 1) for k in range(n - 1)), (0.5,) * (n - 1)):
+    for scale in ((3,) * (n - 1), tuple(range(1, n)), (Fraction(1, 2),) * (n - 1)):
         g = Graph(n, tuple((i, i + 1, scale[i]) for i in range(n - 1)))
         _, stats = run_yen(g, ordering)
         assert stats.iterations == base_stats.iterations

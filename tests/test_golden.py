@@ -68,9 +68,16 @@ CASES.update({
     # crlf/g.gr: lf/g.gr with CRLF line ends and a comment and a blank line before each line.
     "run-lf": f"run --input lf/g.gr {DETECT} --seeds 0:4",
     "run-crlf": f"run --input crlf/g.gr {DETECT} --seeds 0:4",
-    # Two arcs of weight 10^308 on a 3-vertex path: dist[3] overflows to inf.
+    # Weights are exact ints.  Two arcs of weight 10^308 on a 3-vertex path:
+    # dist[3] is 2 * 10^308, no inf.  A weight of 10^400, which no float holds.
     "run-inf": "run --input inf.gr --algorithm randomized --seeds 0:3 --check-oracle",
     "run-inf-detect-cycles": f"run --input inf.gr {DETECT} --seeds 0:3",
+    "run-weight-too-large": "run --input weight-too-large.gr --algorithm basic",
+    "verify-weight-too-large": "verify --input weight-too-large.gr",
+    # The one cycle weighs -1 from arcs of 2^60 + 1 and -2^60 - 2, which as
+    # floats would sum to 0.
+    "run-huge-cycle": f"run --input huge-cycle.gr {DETECT} --seeds 0:2",
+    "verify-huge-cycle": "verify --input huge-cycle.gr",
     # No pass relaxes a self-loop, so the detectors scan for this one after converging.
     "run-negloop-detect-cycles-check-oracle": f"run --input negloop.gr {DETECT}",
     "verify-negloop": "verify --input negloop.gr",
@@ -78,7 +85,7 @@ CASES.update({
     # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
     # huge.gr's vertex count is 2^64, above sys.maxsize.
     **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
-       for name in ("form-feed", "arc-count-mismatch", "weight-too-large", "missing", "huge")},
+       for name in ("form-feed", "arc-count-mismatch", "missing", "huge")},
     "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",

@@ -124,7 +124,7 @@ def test_certificates_are_sound(data):
     pairs = {}
     for u, v, w in g.edges:
         pairs[(u, v)] = min(w, pairs.get((u, v), math.inf))
-    weight = 0.0
+    weight = 0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert (a, b) in pairs
         weight += pairs[(a, b)]
@@ -236,7 +236,7 @@ def _detection_outcomes(g, seed):
 def test_detectors_match_the_reference_kernel_when_sums_overflow(g, seed):
     # The detectors step the Yen kernel; under the None-based guard-scan
     # reference in its place they must reach the same verdicts, states and
-    # counters, or fail with the same error, when distances reach +-inf.
+    # counters, or fail with the same error, when sums leave the float range.
     got = _detection_outcomes(g, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(negcycle, "yen_iterations", guard_scan_yen_iterations)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -14,8 +15,11 @@ from relaxbench import (
     iteration_threshold,
     random_graph,
     random_ordering,
+    run_adaptive,
     run_basic,
+    run_randomized,
     run_with_detection,
+    run_yen,
     yen_iterations,
 )
 
@@ -24,6 +28,7 @@ from helpers import (
     brute_force_negative_cycle,
     cycle_free_graphs,
     graphs,
+    orderings_for,
     shortest_simple_path_lengths,
 )
 
@@ -187,3 +192,46 @@ def test_certify_rejects_none_claim_beside_negative_self_loop():
     assert "not reachable" in certify(g, [0.0, 1.0, None], [2])
     # the unreached vertex 2 keeps its loop out of the "none" claim
     assert certify(Graph(3, ((0, 1, 1.0), (2, 2, -1.0))), [0.0, 1.0, None]) is None
+
+
+# Weights whose sums a float gets wrong: fractions whose decimal expansions do
+# not end, and integers within a few units of +-2**60, where the floats are
+# 256 apart, so that a cycle of them can weigh a small negative number.
+EXACT_WEIGHTS = {
+    "fractions": st.fractions(-3, 7, max_denominator=12),
+    "near-2**60": st.tuples(st.sampled_from((-2**60, 0, 2**60)), st.integers(-3, 3)).map(sum),
+}
+
+
+@pytest.mark.parametrize("weights", EXACT_WEIGHTS.values(), ids=EXACT_WEIGHTS)
+def test_engines_oracle_and_certify_agree_exactly(weights):
+    # On a cycle-free graph the four engines and the detector end at the
+    # oracle's distances, which certify accepts; on a cyclic one the detector
+    # finds the cycle and certify accepts its certificate.  An independent
+    # enumeration of simple cycles decides which graph is which.
+    outcomes = []
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        g = data.draw(graphs(max_n=6, max_edges=12, weights=weights))
+        seed = data.draw(st.integers(0, 2**32))
+        oracle = floyd_warshall(g)
+        cyclic = brute_force_negative_cycle(g)
+        assert oracle.has_reachable_negative_cycle == cyclic
+        state, stats, verdict = run_with_detection(g, seed)
+        assert verdict.found == cyclic
+        assert certify(g, state.dist, stats.negative_cycle) is None
+        outcomes.append(cyclic)
+        if cyclic:
+            return
+        row = oracle.dist[g.source]
+        for dist in (state.dist, run_basic(g)[0].dist, run_adaptive(g)[0].dist,
+                     run_yen(g, data.draw(orderings_for(g)))[0].dist,
+                     run_randomized(g, seed)[0].dist):
+            assert as_inf(dist) == row
+            assert certify(g, dist) is None
+            assert all(type(d) in (int, Fraction) for d in dist if d is not None)
+
+    check()
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10

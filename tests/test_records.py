@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,10 +33,10 @@ def test_frozen_records_refuse_field_assignment(obj, field, value):
 
 def test_equal_graphs_and_orderings_compare_and_hash_equal():
     # Graph converts its edges, so equal content built two ways is one value.
-    a = Graph(3, [(0, 1, 2), (1, 2, 3.5)], source=0)
-    b = Graph(n=3, edges=((0, 1, 2.0), (1, 2, 3.5)))
+    a = Graph(3, [(0, 1, 2), (1, 2, Fraction(7, 2))], source=0)
+    b = Graph(n=3, edges=((0, 1, 2.0), (1, 2, "3.5")))
     assert a == b and hash(a) == hash(b)
-    assert a != Graph(3, ((0, 1, 2.0), (1, 2, 3.5)), source=1)
+    assert a != Graph(3, ((0, 1, 2), (1, 2, Fraction(7, 2))), source=1)
     c, d = Ordering([0, 2, 1]), Ordering(rank=(0, 2, 1))
     assert c == d and hash(c) == hash(d)
     assert c.by_rank == (0, 2, 1) and c == d  # the derived inverse is no part of the value
@@ -70,16 +71,17 @@ def test_record_columns_are_pinned():
 
 def test_importing_the_cli_loads_no_dataclasses_and_a_generated_csv_run_no_hashlib_or_json():
     # A fresh interpreter without site (-S), so that no installed .pth file
-    # decides what is loaded.  The last line is printed after a --gen csv run,
+    # decides what is loaded.  Only a weight that is not an int or a float
+    # needs fractions.  The last line is printed after a --gen csv run,
     # which runs in one process and so loads nothing the fork path needs.
     probe = (
         "import sys\n"
         "import relaxbench.cli\n"
-        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)), sep=',')\n"
+        "print(*sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)), sep=',')\n"
         "relaxbench.cli.main(['run', '--gen', 'path-worst-case', '--n', '5',"
         " '--algorithm', 'basic'])\n"
-        "print(*sorted({'dataclasses', 'inspect', 'hashlib', 'json', 'pickle', 'signal'}"
-        " & set(sys.modules)), sep=',')\n"
+        "print(*sorted({'dataclasses', 'fractions', 'inspect', 'hashlib', 'json', 'pickle',"
+        " 'signal'} & set(sys.modules)), sep=',')\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
