@@ -25,9 +25,10 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
 
     Distinct diagnostics: missing problem line, vertex count above
     ``sys.maxsize``, arc-count mismatch, vertex id out of range, non-integer
-    weight, non-ASCII byte.  Each names its line number and, where the line
-    is at fault, the line with surrounding whitespace stripped.  A weight is
-    an ``int`` of any size, so every sum over it is exact.
+    weight, weight over ``int()``'s digit limit, non-ASCII byte.  Each names
+    its line number and, where the line is at fault, the line with
+    surrounding whitespace stripped, or a long weight cut short.  A weight is
+    an ``int`` of any size below that limit, so every sum over it is exact.
 
     The file is read as text and split on newlines, as iterating a text file
     splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
@@ -64,7 +65,13 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
             try:
                 w = int(parts[3])
             except ValueError:
-                raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
+                # int() refuses a well-formed integer only over its digit limit.
+                token, body = parts[3], parts[3][parts[3][0] in "+-":]
+                if not all(map(str.isdigit, body.split("_"))):
+                    raise DimacsFormatError(f"line {lineno}: non-integer weight {token!r}") from None
+                raise DimacsFormatError(
+                    f"line {lineno}: weight {token[:12] + '...'!r} has {len(body) - body.count('_')}"
+                    f" digits; sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()}") from None
             if not 1 <= u <= n or not 1 <= v <= n:
                 raise DimacsFormatError(f"line {lineno}: vertex id out of range in {raw.strip()!r}")
             append((u - 1, v - 1, w))
@@ -95,13 +102,18 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:
     """Write a graph with integral weights as a .gr file (ids shifted to 1-based).
 
-    The first edge whose weight is not integral, a ``Fraction`` as ``Graph``
-    keeps it, raises ``ValueError`` and nothing is written.
+    The first edge whose weight is a ``Fraction``, as ``Graph`` keeps a
+    non-integral one, or an int over ``str()``'s digit limit raises
+    ``ValueError`` naming the edge, and nothing is written.
     """
     lines = [f"p sp {g.n} {g.m}"]
     append = lines.append
     for u, v, w in g.edges:
         if type(w) is not int:
             raise ValueError(f"DIMACS weights must be integers, got {w!r} on ({u}, {v})")
-        append("a %d %d %d" % (u + 1, v + 1, w))
+        try:
+            append("a %d %d %d" % (u + 1, v + 1, w))
+        except ValueError:
+            raise ValueError(f"DIMACS weight on ({u}, {v}) has more than "
+                             f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits") from None
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -1,24 +1,23 @@
 """The four shortest-path engines: one relaxation kernel and a plain sweep.
 
-The rule relaxes u -> v of weight w from a reached u: it counts a relax call,
-and when v is unreached or ``dist[u] + w < dist[v]`` it sets ``dist[v]`` and
-``pred[v]`` and counts an improvement.  ``relax`` in ``tests/helpers.py`` is
-its reference, and every engine is differential-tested against drivers on it.
+An unreached vertex's distance is ``math.inf``, one object that the engines
+test for with ``is inf``.  The rule relaxes u -> v of weight w from a
+reached u: it counts a relax call, and when ``dist[u] + w < dist[v]``
+(always if v is unreached: weights are exact, see ``Graph``, so no sum is
+``inf``) it sets ``dist[v]`` and ``pred[v]`` and counts an improvement.
+``relax`` in ``tests/helpers.py`` is its reference, and every engine is
+differential-tested against drivers on it.
 
 ``_iterate`` is the one kernel, called once per outer iteration by yen,
 adaptive and both negative-cycle detectors: it runs the iteration's passes
 through one relax body (yen's ascending then descending pass, adaptive's
 one), counts the descending scans it proves idle without performing them
-(see ``yen_iterations``), and closes the iteration.  A one-key pass skips
-``heapify``.  ``yen_iterations`` also fast-forwards: once an iteration
-repeats the one before it shifted by a constant, it yields each later
-iteration by adding that constant, and counts that iteration's relax calls
-without performing them.  ``basic_passes`` is the plain sweep over the edge
-list.  Weights are exact (see ``Graph``), so every sum and comparison is.
-``relax_calls`` is the paper's count for every engine.  Both kernels compare
-against a shadow of ``state.dist``, built when a generator starts, that holds
-NaN where ``dist`` holds None (unreached); this keeps a ``None`` test out of
-every relaxation (see ``_iterate``).  While a generator is live it owns
+(see ``yen_iterations``), and closes the iteration.  ``yen_iterations``
+also fast-forwards: once an iteration repeats the one before it shifted by
+a constant, it yields each later iteration by adding that constant, and
+counts that iteration's relax calls without performing them.
+``basic_passes`` is the plain sweep over the edge list.  ``relax_calls`` is
+the paper's count for every engine.  While a generator is live it owns
 ``state.dist``, ``state.pred`` and ``state.frontier``: a caller must not
 write them between steps.  The engines:
 
@@ -40,8 +39,8 @@ from __future__ import annotations
 import warnings
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import nan
-from typing import Iterator, NamedTuple, Optional, Sequence
+from math import inf
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .graph import Edge, Graph, Ordering, Weight, random_ordering, rank_adjacency
 
@@ -50,7 +49,7 @@ class SsspState:
     """Mutable single-run state: distances, predecessors, change tracking.
 
     Attributes:
-        dist: per-vertex tentative distance, ``None`` while unreached.
+        dist: per-vertex tentative distance, ``math.inf`` while unreached.
         pred: per-vertex predecessor on the tentative path, ``None`` if unset.
         frontier: the vertices whose distance changed in the previous outer
             iteration, each once, in the order they first changed (the
@@ -66,7 +65,7 @@ class SsspState:
                  "relax_calls", "improvements", "iterations")
 
     def __init__(self, g: Graph):
-        self.dist: list[Optional[Weight]] = [None] * g.n
+        self.dist: list[Union[Weight, float]] = [inf] * g.n
         self.pred: list[Optional[int]] = [None] * g.n
         self.dist[g.source] = 0
         self.frontier: list[int] = [g.source]
@@ -108,20 +107,18 @@ def basic_passes(g: Graph, strict: bool = False,
     """
     if state is None:
         state = SsspState(g)
-    dist, pred = state.dist, state.pred
-    d = [nan if x is None else x for x in dist]
-    changed_now = state.changed_now
+    dist, pred, changed_now = state.dist, state.pred, state.changed_now
     edges, m = g.edges, g.m
     for _ in range(g.n - 1):
         changed_order = state._changed_order
         skipped = imps = 0
         for u, v, w in edges:
             du = dist[u]
-            if du is None:
+            if du is inf:
                 skipped += 1
                 continue
-            if not d[v] <= du + w:
-                d[v] = dist[v] = du + w
+            if dist[v] > du + w:
+                dist[v] = du + w
                 pred[v] = u
                 imps += 1
                 if not changed_now[v]:
@@ -144,9 +141,8 @@ def adaptive_iterations(g: Graph, state: Optional[SsspState] = None) -> Iterator
         state = SsspState(g)
     n = g.n
     passes = ((range(n), [None] * n, range(n), g.out_adjacency()),)
-    d = [nan if x is None else x for x in state.dist]
     while state.frontier:
-        _iterate(passes, None, d, state)
+        _iterate(passes, None, state)
         yield state
 
 
@@ -159,7 +155,7 @@ WIDE_PASS_DIVISOR = 64
 
 def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]],
                                     Sequence[int], list[list[Edge]]]],
-             idle_adj: Optional[list[list[Edge]]], d: list, state: SsspState) -> None:
+             idle_adj: Optional[list[list[Edge]]], state: SsspState) -> None:
     """Run one outer iteration: each pass of ``passes`` in turn, then ``end_iteration``.
 
     A pass ``(start_key, key, vertex_at, adj)`` relaxes the out-edges in
@@ -177,16 +173,9 @@ def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]]
     The body is the relaxation rule inlined, and it adds the iteration's
     relax calls and improvements to ``state``.  The rule reads ``dist[u]``
     per edge; the body reads it once per vertex, so an improving self-loop
-    also updates that copy (Yen's adjacencies hold none).
-
-    The body reads ``d``, a shadow of ``state.dist`` with NaN where ``dist``
-    holds None, and writes an improvement to both lists.  Its test
-    ``not d[v] <= du + w`` is the rule's ``dv is None or dv > alt`` exactly:
-    ``NaN <= x`` is false for an int or a ``Fraction`` x, so an unreached
-    head always improves, and for any other ``d[v]`` it is ``d[v] > alt``
-    because ``alt``, a sum of a reached distance and a weight, is an exact
-    number.  The sum is computed again on an improvement, rather than kept
-    from the test, which is cheaper on the many edges that do not improve.
+    also updates that copy (Yen's adjacencies hold none).  The sum is
+    computed again on an improvement, rather than kept from the test, which
+    is cheaper on the many edges that do not improve.
 
     A pass's work set takes one of two forms, picked from its starting size.
     A narrow pass (at most n / WIDE_PASS_DIVISOR keys) drains a heap, where
@@ -231,13 +220,13 @@ def _iterate(passes: Sequence[tuple[Sequence[Optional[int]], list[Optional[int]]
                 if k < 0:
                     break
             u = vertex_at[k]
-            du = d[u]
+            du = dist[u]
             edges = adj[u]
             calls += len(edges)
             for _, v, w in edges:
-                if not d[v] <= du + w:
+                if dist[v] > du + w:
                     alt = du + w
-                    d[v] = dist[v] = alt
+                    dist[v] = alt
                     pred[v] = u
                     imps += 1
                     if v == u:
@@ -276,15 +265,14 @@ def yen_iterations(g: Graph, ordering: Ordering,
     proportional to them, not a scan of all n; a pass with none is skipped.
     Some scans are counted instead of performed: after its first iteration,
     the generator's descending pass does not take a frontier vertex that
-    stays unchanged all iteration.
-    Its last change came before its descending scan of the previous
-    iteration, since a descending edge only reaches a later key, and
-    distances only fall since then, so every one of its descending edges
-    already holds ``dist[v] <= dist[u] + w`` and relaxing it improves
-    nothing.  Its descending out-degree is added to ``relax_calls`` after
-    the pass, once the pass can no longer change it.  The first iteration
-    takes every frontier vertex, as a caller's state may come from another
-    engine or ordering.
+    stays unchanged all iteration.  Its last change came before its
+    descending scan of the previous iteration, since a descending edge only
+    reaches a later key, and distances only fall since then, so every one of
+    its descending edges already holds ``dist[v] <= dist[u] + w`` and
+    relaxing it improves nothing.  Its descending out-degree is added to
+    ``relax_calls`` after the pass, once the pass can no longer change it.
+    The first iteration takes every frontier vertex, as a caller's state may
+    come from another engine or ordering.
 
     Whole iterations are counted instead of performed too.  From the
     generator's second iteration on, an iteration is one function F of the
@@ -315,11 +303,10 @@ def yen_iterations(g: Graph, ordering: Ordering,
     passes = ((up_key, up_key, by_rank, up_adj),
               (down_key, down_key, by_rank[::-1], down_adj))
 
-    d = [nan if x is None else x for x in state.dist]
     idle_adj = before = None
     while state.frontier:
         frontier = state.frontier
-        _iterate(passes, idle_adj, d, state)
+        _iterate(passes, idle_adj, state)
         idle_adj = down_adj
         yield state
         if state.frontier != frontier:
@@ -331,21 +318,21 @@ def yen_iterations(g: Graph, ordering: Ordering,
             dist, calls, imps = before
             c = _uniform_shift(dist, state.dist)
             if c is not None:
-                yield from _shifted_iterations(state, d, c, state.relax_calls - calls,
+                yield from _shifted_iterations(state, c, state.relax_calls - calls,
                                                state.improvements - imps)
         before = state.dist.copy(), state.relax_calls, state.improvements
 
 
-def _uniform_shift(before: list[Optional[Weight]],
-                   after: list[Optional[Weight]]) -> Optional[Weight]:
+def _uniform_shift(before: list[Union[Weight, float]],
+                   after: list[Union[Weight, float]]) -> Optional[Weight]:
     """The c != 0 with ``after[v] == before[v] + c`` at every reached v, or None.
 
-    None also unless both lists hold None at the same vertices.  The test
+    None also unless both lists hold ``inf`` at the same vertices.  The test
     stops at the first vertex that breaks it.
     """
     c = None
     for a, b in zip(before, after):
-        if a is None or b is None:
+        if a is inf or b is inf:
             if a is not b:
                 return None
         elif c is None:
@@ -355,19 +342,18 @@ def _uniform_shift(before: list[Optional[Weight]],
     return c or None
 
 
-def _shifted_iterations(state: SsspState, d: list, c: Weight,
-                        calls: int, imps: int) -> Iterator[SsspState]:
+def _shifted_iterations(state: SsspState, c: Weight, calls: int, imps: int) -> Iterator[SsspState]:
     """Yield the iterations that repeat the last one shifted by c (see ``yen_iterations``).
 
     Every reached vertex is in the frontier, since each moved by c != 0.
-    Each step adds c to their distances and to the shadow ``d``, adds the
-    repeated iteration's ``calls`` and ``imps`` to the counters, and gives
-    the frontier a copy of itself; the steps never end, so the caller stops.
+    Each step adds c to their distances and the repeated iteration's
+    ``calls`` and ``imps`` to the counters, and gives the frontier a copy of
+    itself; the steps never end, so the caller stops.
     """
     dist, frontier = state.dist, state.frontier
     while True:
         for v in frontier:
-            d[v] = dist[v] = dist[v] + c
+            dist[v] += c
         state.relax_calls += calls
         state.improvements += imps
         state.iterations += 1

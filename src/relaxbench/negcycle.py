@@ -17,7 +17,7 @@ certificate, while terminating within it is always a correct "none".
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
 from .graph import Graph, Weight, random_ordering
@@ -99,11 +99,11 @@ def detection_start(n: int, c: float) -> int:
     return min(iteration_threshold(n, c), iteration_cap(n))
 
 
-def _negative_self_loop(g: Graph, dist: Sequence[Optional[Weight]]) -> Optional[List[int]]:
+def _negative_self_loop(g: Graph, dist: Sequence[Union[Weight, float]]) -> Optional[List[int]]:
     # The certificate on a converged run.  No pass relaxes a self-loop, so a
     # negative self-loop on a reached vertex is the one reachable negative
     # cycle left to report; the smallest such vertex is the certificate.
-    loops = [u for u, v, w in g.edges if u == v and w < 0 and dist[u] is not None]
+    loops = [u for u, v, w in g.edges if u == v and w < 0 and dist[u] is not math.inf]
     return [min(loops)] if loops else None
 
 

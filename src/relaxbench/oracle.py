@@ -2,10 +2,10 @@
 
 Nothing here shares code with the engines or the detectors: distances come
 from an all-pairs Floyd-Warshall recurrence over an adjacency matrix, and
-``certify`` checks one verdict's certificate in linear time at any n.  The
-oracle represents "no path" as ``math.inf`` (engines use ``None``); callers
-convert when comparing.  Distances are exact: the oracle compares with
-``inf`` but never adds to it.
+``certify`` checks one verdict's certificate in linear time at any n.  "No
+path" is ``math.inf``, as in the engines' distances, so an oracle row and an
+engine's ``dist`` compare with no conversion.  Distances are exact: the
+oracle compares with ``inf`` but never adds to it.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _reached_from(adj: List[List[int]], s: int) -> bytearray:
     return seen
 
 
-def certify(g: Graph, dist: Sequence[Optional[Weight]],
+def certify(g: Graph, dist: Sequence[Union[Weight, float]],
             cycle: Optional[Sequence[int]] = None) -> Optional[str]:
     """Check one verdict against its certificate; return the flaw, or None.
 
@@ -92,12 +92,12 @@ def certify(g: Graph, dist: Sequence[Optional[Weight]],
     hops need not be distinct.
 
     Without it the claim is "no negative cycle is reachable and ``dist`` holds
-    the exact distances" (``None`` for unreached).  dist[source] must be 0, no
-    edge may lead from a reached vertex to an unreached one or be tense
-    (dist[u] + w < dist[v]), and the tight edges must reach every reached
-    vertex from the source.  Feasibility bounds every distance from above by
-    every path's weight and rules out reachable negative cycles; the tight
-    paths attain the bound.
+    the exact distances" (``math.inf`` for unreached, never None).
+    dist[source] must be 0, no edge may lead from a reached vertex to an
+    unreached one or be tense (dist[u] + w < dist[v]), and the tight edges
+    must reach every reached vertex from the source.  Feasibility bounds
+    every distance from above by every path's weight and rules out reachable
+    negative cycles; the tight paths attain the bound.
 
     O(n + m) with no all-pairs structure, so it has no vertex cap.
     """
@@ -129,15 +129,17 @@ def certify(g: Graph, dist: Sequence[Optional[Weight]],
 
     if len(dist) != n:
         return f"the distance vector has {len(dist)} entries for {n} vertices"
+    if None in dist:
+        return f"vertex {dist.index(None)} has distance None; an unreached vertex has math.inf"
     if dist[s] != 0:
         return f"the source {s} has distance {dist[s]!r}, not 0"
     tight: list[list[int]] = [[] for _ in range(n)]
     for u, v, w in g.edges:
         du = dist[u]
-        if du is None:
+        if du == math.inf:
             continue
         dv = dist[v]
-        if dv is None:
+        if dv == math.inf:
             return f"edge ({u}, {v}) leads from reached vertex {u} to unreached vertex {v}"
         if du + w < dv:
             return f"edge ({u}, {v}, {w}) is tense: {du} + {w} < {dv}"
@@ -145,6 +147,6 @@ def certify(g: Graph, dist: Sequence[Optional[Weight]],
             tight[u].append(v)
     seen = _reached_from(tight, s)
     for v in range(n):
-        if dist[v] is not None and not seen[v]:
+        if dist[v] != math.inf and not seen[v]:
             return f"vertex {v} has distance {dist[v]} but no tight path from the source"
     return None

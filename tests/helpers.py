@@ -1,4 +1,4 @@
-"""Shared test utilities: strategies, conversions, the reference relaxation rule and
+"""Shared test utilities: strategies, the reference relaxation rule and
 the drivers built on it, reference DIMACS reading and writing, the reference
 random generator, and independent checkers."""
 
@@ -7,10 +7,10 @@ from __future__ import annotations
 import io
 import math
 import random
+import re
 import sys
 from itertools import permutations
 from pathlib import Path
-from typing import Optional
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -20,23 +20,19 @@ from relaxbench.dimacs import DimacsFormatError
 from relaxbench.graph import rank_adjacency
 
 
-def as_inf(dist):
-    """Engine distances use None for unreached; the oracle uses inf."""
-    return [math.inf if d is None else d for d in dist]
-
-
 def relax(state: SsspState, u: int, v: int, w) -> bool:
     """The relaxation rule: relax u -> v of weight w; return True iff dist[v] dropped.
 
-    Requires u to be reached (callers skip unreached tails).  Every call
-    counts; only a strict improvement, or a first reach, rewrites dist and
-    pred and counts as an improvement.  The engines inline this rule; the
+    Requires u to be reached (callers skip tails whose distance is inf).
+    Every call counts; only a strict improvement, a first reach included
+    since an unreached head's distance is inf, rewrites dist and pred and
+    counts as an improvement.  The engines inline this rule; the
     reference drivers below call it once per edge.
     """
     state.relax_calls += 1
     alt = state.dist[u] + w
     dv = state.dist[v]
-    if dv is None or dv > alt:
+    if dv > alt:
         state.dist[v] = alt
         state.pred[v] = u
         if not state.changed_now[v]:
@@ -52,7 +48,7 @@ def reference_basic_passes(g: Graph, strict: bool = False):
     state = SsspState(g)
     for _ in range(g.n - 1):
         for u, v, w in g.edges:
-            if state.dist[u] is None:
+            if state.dist[u] == math.inf:
                 if strict:
                     state.relax_calls += 1
                 continue
@@ -177,13 +173,13 @@ def brute_force_negative_cycle(g: Graph) -> bool:
 SIMPLE_PATH_CAP = 8
 
 
-def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
+def shortest_simple_path_lengths(g: Graph) -> list:
     """Length of the shortest *simple* path from the source to each vertex.
 
     Brute-force enumeration of every simple path, so the graph must have at
     most ``SIMPLE_PATH_CAP`` vertices.  The source gets 0 (the empty path); unreachable
-    vertices get ``None``.  Well-defined even when negative cycles exist,
-    which is exactly why the detectors' tests need it.
+    vertices get ``math.inf``, as in the engines and the oracle.  Well-defined even when
+    negative cycles exist, which is exactly why the detectors' tests need it.
     """
     if g.n > SIMPLE_PATH_CAP:
         raise ValueError(f"graph has {g.n} vertices, simple-path cap is {SIMPLE_PATH_CAP}")
@@ -218,7 +214,7 @@ def shortest_simple_path_lengths(g: Graph) -> list[Optional[float]]:
         on_path[u] = 0
 
     walk(s, 0)
-    return [b if b < math.inf else None for b in best]
+    return best
 
 
 def all_orderings(g: Graph):
@@ -271,8 +267,15 @@ def orderings_for(draw, g: Graph):
     return Ordering(tuple(rank))
 
 
-# Weights whose sums leave the float range, where an int sum stays exact.
-overflow_weights = st.sampled_from((10**308, -10**308, 17 * 10**307, -17 * 10**307, -1, 0, 3))
+# The differential tests' weights: every kind an engine takes.  Small ints
+# make cycles and ties; ints near +-10**308 make sums beyond the float range,
+# which an unreached head's inf must still exceed; Fractions make sums that
+# no float holds exactly.
+mixed_weights = st.one_of(
+    st.integers(-3, 7),
+    st.sampled_from((10**308, -10**308, 17 * 10**307, -17 * 10**307)),
+    st.fractions(-3, 7, max_denominator=12),
+)
 
 
 def reference_load_dimacs(path, source: int = 1) -> Graph:
@@ -319,6 +322,11 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                 try:
                     w = int(parts[3])
                 except ValueError:
+                    if re.fullmatch("[+-]?[0-9]+(_[0-9]+)*", parts[3]):  # over int()'s digit limit
+                        raise DimacsFormatError(
+                            "line %d: weight '%s...' has %d digits; sys.get_int_max_str_digits() is %d"
+                            % (lineno, parts[3][:12], len(re.findall("[0-9]", parts[3])),
+                               sys.get_int_max_str_digits())) from None
                     raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
                 if not 1 <= u <= n or not 1 <= v <= n:
                     raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")

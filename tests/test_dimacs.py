@@ -98,6 +98,18 @@ def test_write_rejects_fractional_weights(tmp_path):
     assert not path.exists()
 
 
+def test_write_refuses_a_weight_over_the_digit_limit(tmp_path):
+    # %d, as str(), refuses an int with more digits than the interpreter's limit.
+    limit = sys.get_int_max_str_digits()
+    g = Graph(3, ((0, 1, 1), (1, 2, 10**limit), (2, 0, 2)))
+    path = tmp_path / "big.gr"
+    with pytest.raises(ValueError) as excinfo:
+        write_dimacs(g, path)
+    assert str(excinfo.value) == ("DIMACS weight on (1, 2) has more than "
+                                  f"sys.get_int_max_str_digits() = {limit} digits")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("spec", [
     GeneratorSpec(kind="random-sparse", n=8, m=14, seed=1),
     GeneratorSpec(kind="random-sparse", n=5, m=8, seed=2, ensure_reachable=True),

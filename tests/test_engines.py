@@ -31,12 +31,11 @@ from relaxbench import (
 import helpers
 from helpers import (
     all_orderings,
-    as_inf,
     cycle_free_graphs,
     graphs,
     guard_scan_yen_iterations,
+    mixed_weights,
     orderings_for,
-    overflow_weights,
     record_shifts,
     reference_adaptive_iterations,
     reference_basic_passes,
@@ -178,10 +177,14 @@ def each_work_set_mode(monkeypatch):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_yen_kernel_matches_guard_scan_reference(data, each_work_set_mode):
-    g = data.draw(graphs(max_n=8, max_edges=24))
+    # With sums beyond the float range too, every distance the kernel leaves
+    # is exact, or inf at an unreached vertex.
+    g = data.draw(graphs(max_n=8, max_edges=24, weights=mixed_weights))
     ordering = data.draw(orderings_for(g))
     for _ in each_work_set_mode():
         assert_kernel_matches_guard_scan(g, ordering)
+        for state in islice(yen_iterations(g, ordering), g.n + 1):
+            assert all(d is math.inf or type(d) in (int, Fraction) for d in state.dist)
 
 
 @given(g=graphs(max_n=5))
@@ -220,21 +223,6 @@ def test_yen_kernel_matches_guard_scan_across_the_wide_pass_threshold():
 @given(data=st.data())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mode):
-    # The kernel compares against a NaN shadow of dist; with sums beyond the
-    # float range it must still step exactly as the None-based reference
-    # does, and every distance it leaves is an exact int, never a NaN or inf.
-    g = data.draw(graphs(max_n=8, max_edges=24, weights=overflow_weights))
-    ordering = data.draw(orderings_for(g))
-    for _ in each_work_set_mode():
-        assert_kernel_matches_guard_scan(g, ordering)
-        for state in islice(yen_iterations(g, ordering), g.n + 1):
-            assert all(d is None or type(d) is int for d in state.dist)
-
-
-@given(data=st.data())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_yen_kernel_matches_guard_scan_from_a_resumed_state(data, each_work_set_mode):
     # A caller's state may have been stepped by another engine or under
     # another ordering, so the kernel's first iteration has no descending
@@ -262,7 +250,7 @@ def _record_shifted_steps(monkeypatch) -> list:
 
     def spy(state, *args):
         for st_ in shifted(state, *args):
-            log.append((st_.iterations, [x for x in st_.dist if x is not None]))
+            log.append((st_.iterations, [x for x in st_.dist if x != math.inf]))
             yield st_
 
     monkeypatch.setattr(engines, "_shifted_iterations", spy)
@@ -311,19 +299,15 @@ TWO_CYCLE = ((0, 1, 1), (1, 0, -3), (2, 0, 1))
 
 @pytest.mark.parametrize("extra", [
     (),
-    ((1, 0, -2**51),),
-    ((2, 1, -2**51),),
     ((1, 0, 1 - 2**60),),
     ((2, 1, -2**60 - 1),),
     ((2, 2, Fraction(1, 2)), (1, 0, Fraction(-10, 3))),
     ((0, 1, 0),),
-    ((0, 1, -0.0),),
-], ids=["plain", "bound", "minus-bound", "above-bound", "below-minus-bound", "fractional",
-        "zero", "minus-zero"])
+], ids=["plain", "above-bound", "below-minus-bound", "fractional", "zero"])
 def test_yen_fast_forwards_only_with_exact_weights(monkeypatch, extra):
     # Every weight is exact, so the rule fires on every input here, also where
     # the cycle weighs 2 - 2**60, which a float cannot hold, or -7/3, and
-    # where a weight of magnitude above 2**51 lies on an unreached tail.
+    # where a weight of magnitude above 2**60 lies on an unreached tail.
     g = Graph(3, TWO_CYCLE + extra)
     log = _record_shifted_steps(monkeypatch)
     for ordering in all_orderings(g):
@@ -363,15 +347,15 @@ def test_yen_fast_forward_runs_past_the_float_exact_range(monkeypatch):
 
 
 @pytest.mark.parametrize("before, after, shift", [
-    ([None, 0, 1], [None, -2, -1], -2),
+    ([math.inf, 0, 1], [math.inf, -2, -1], -2),
     ([0, 2**60 + 1], [-1, 2**60], -1),  # a float sees no shift: it holds both as 2**60
     ([0, 1], [0, 1], None),  # no shift
     ([0, 1], [-1, -1], None),  # two shifts
-    ([0, None], [-1, 0], None),  # a vertex reached
+    ([0, math.inf], [-1, 0], None),  # a vertex reached
     ([0, Fraction(1, 3)], [Fraction(1, 10), Fraction(13, 30) + Fraction(1, 10**30)], None),
     ([0, 2**60], [-256, 2**60 - 255], None),  # a float rounds -255 to -256 at 2**60
     ([0, -2**60], [-256, -2**60 - 257], None),  # and -257 to -256
-    ([0, 1], [-1, None], None),  # a vertex no longer reached
+    ([0, 1], [-1, math.inf], None),  # a vertex no longer reached
     ([Fraction(1, 3), 0], [0, Fraction(-1, 3)], Fraction(-1, 3)),
 ])
 def test_uniform_shift(before, after, shift):
@@ -425,11 +409,11 @@ def _record_passes(monkeypatch) -> list:
     iterate = engines._iterate
     log = []
 
-    def spy(passes, idle_adj, d, state):
+    def spy(passes, idle_adj, state):
         iteration = state.iterations
         recorded = [(_RecordedReads(start_key), key, _RecordedReads(vertex_at), adj)
                     for start_key, key, vertex_at, adj in passes]
-        iterate(recorded, idle_adj, d, state)
+        iterate(recorded, idle_adj, state)
         for index, (start_key, _, vertex_at, _) in enumerate(recorded):
             started = [u for u in start_key.read if start_key.items[u] is not None]
             log.append(_Pass(iteration, index, started, len(vertex_at.read), set(state.frontier)))
@@ -488,15 +472,12 @@ def assert_basic_and_adaptive_match_reference(g):
     assert _steps(adaptive_iterations(g), g) == _steps(reference_adaptive_iterations(g), g)
 
 
-# Self-loops, negative weights and cycles; with overflow_weights, sums leave
-# the float range, and the engines' NaN shadow must still step as the
-# None-based rule.
-@pytest.mark.parametrize("weights", [None, overflow_weights], ids=["small", "overflow"])
+# Self-loops, negative weights and cycles, with sums that leave the float range.
 @given(data=st.data())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_basic_and_adaptive_match_the_reference(weights, data, each_work_set_mode):
-    g = data.draw(graphs(max_n=8, max_edges=24, weights=weights))
+def test_basic_and_adaptive_match_the_reference(data, each_work_set_mode):
+    g = data.draw(graphs(max_n=8, max_edges=24, weights=mixed_weights))
     for _ in each_work_set_mode():
         assert_basic_and_adaptive_match_reference(g)
 
@@ -518,7 +499,7 @@ def test_adaptive_feeds_a_self_loops_improvement_to_the_tails_later_edges(each_w
     (Graph(4, ((0, 1, 10**308), (1, 2, 10**308), (0, 3, 17 * 10**307), (3, 2, -10**308))),
      [0, 10**308, 7 * 10**307, 17 * 10**307], [None, 0, 3, 0]),
 ])
-def test_yen_distances_that_overflow_to_inf(g, dist, pred, each_work_set_mode):
+def test_yen_distances_beyond_the_float_range_stay_exact(g, dist, pred, each_work_set_mode):
     for _ in each_work_set_mode():
         for ordering in all_orderings(g):
             state, _ = run_yen(g, ordering)
@@ -549,7 +530,7 @@ def test_engine_agreement_on_cycle_free_inputs(data):
         run_yen(g, ordering)[0],
         run_randomized(g, seed)[0],
     ):
-        assert as_inf(state.dist) == expected
+        assert state.dist == expected
 
 
 @given(data=st.data())
@@ -566,8 +547,7 @@ def test_distances_never_undershoot_during_any_iteration(data):
     for driver in drivers:
         for state in driver:
             for v, d in enumerate(state.dist):
-                if d is not None:
-                    assert d >= truth[v]
+                assert d >= truth[v]
 
 
 @given(data=st.data())
@@ -579,7 +559,7 @@ def test_predecessor_chain_reaches_source_with_exact_weight(data):
     for u, v, w in g.edges:
         pairs[(u, v)] = min(w, pairs.get((u, v), math.inf))
     for v in range(g.n):
-        if state.dist[v] is None or v == g.source:
+        if state.dist[v] == math.inf or v == g.source:
             continue
         total, cur, hops = 0.0, v, 0
         while cur != g.source:
@@ -607,7 +587,7 @@ def test_unreached_tail_never_enters_arithmetic():
     g = Graph(3, ((0, 1, 1.0), (2, 1, -5.0)))
     state, stats = run_basic(g, strict=True)
     assert stats.relax_calls == g.m * (g.n - 1)
-    assert state.dist == [0.0, 1.0, None]
+    assert state.dist == [0, 1, math.inf]
     assert state.pred[2] is None
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import islice
 
@@ -13,6 +14,7 @@ from relaxbench import (
     certify,
     floyd_warshall,
     iteration_threshold,
+    monte_carlo_dense_detect,
     random_graph,
     random_ordering,
     run_adaptive,
@@ -24,11 +26,12 @@ from relaxbench import (
 )
 
 from helpers import (
-    as_inf,
     brute_force_negative_cycle,
     cycle_free_graphs,
     graphs,
+    mixed_weights,
     orderings_for,
+    reachable_from_source,
     shortest_simple_path_lengths,
 )
 
@@ -96,14 +99,14 @@ def test_oracle_and_basic_engine_cross_check(data):
     if result.has_reachable_negative_cycle:
         return
     state, _ = run_basic(g)
-    assert as_inf(state.dist) == result.dist[g.source]
+    assert state.dist == result.dist[g.source]
 
 
 def test_simple_paths_match_distances_without_cycles():
     g = Graph(4, ((0, 1, 2.0), (1, 2, -1.0), (0, 2, 5.0), (2, 3, 1.0)))
     lengths = shortest_simple_path_lengths(g)
     row = floyd_warshall(g).dist[0]
-    assert [math.inf if x is None else x for x in lengths] == row
+    assert lengths == row
 
 
 def test_simple_paths_stay_finite_beside_negative_cycle():
@@ -112,8 +115,8 @@ def test_simple_paths_stay_finite_beside_negative_cycle():
     assert lengths == [0.0, 4.0]  # one simple path each, despite the cycle
 
 
-def test_simple_paths_unreachable_vertex_is_none():
-    assert shortest_simple_path_lengths(Graph(3, ((0, 1, 1.0),))) == [0.0, 1.0, None]
+def test_simple_paths_unreachable_vertex_is_inf():
+    assert shortest_simple_path_lengths(Graph(3, ((0, 1, 1.0),))) == [0, 1, math.inf]
 
 
 def test_distances_drop_to_simple_path_level_by_threshold():
@@ -133,10 +136,9 @@ def test_distances_drop_to_simple_path_level_by_threshold():
         for _ in islice(yen_iterations(g, ordering, state), cap):
             pass
         for v in range(g.n):
-            if simple[v] is None:
-                assert state.dist[v] is None
+            if simple[v] == math.inf:
+                assert state.dist[v] == math.inf
             else:
-                assert state.dist[v] is not None
                 assert state.dist[v] <= simple[v]
         checked += 1
     assert checked == 200
@@ -159,10 +161,10 @@ def test_certify_accepts_detector_verdicts_and_agrees_with_oracle(data):
 @settings(max_examples=150, deadline=None)
 def test_certify_rejects_every_single_entry_mutation(data):
     g, result = data.draw(cycle_free_graphs())
-    dist = [None if d == math.inf else d for d in result.dist[g.source]]
+    dist = result.dist[g.source]
     assert certify(g, dist) is None
     for v, d in enumerate(dist):
-        mutants = [None, d - 1, d + 1] if d is not None else [0.0]
+        mutants = [math.inf, d - 1, d + 1] if d != math.inf else [0]
         for bad in mutants:
             forged = list(dist)
             forged[v] = bad
@@ -174,7 +176,7 @@ def test_certify_checks_cycle_certificates():
     # 0 -> 1 <-> 2 with parallel 2 -> 1 edges; 3 <-> 4 is unreachable from 0.
     g = Graph(5, ((0, 1, 1.0), (1, 2, -2.0), (2, 1, 5.0), (2, 1, 1.0),
                   (3, 4, -1.0), (4, 3, -1.0), (0, 0, 0.0)))
-    dist = [0.0, 1.0, -1.0, None, None]
+    dist = [0, 1, -1, math.inf, math.inf]
     assert certify(g, dist, [1, 2]) is None  # the cheaper parallel edge makes it -1
     assert certify(g, dist, [2, 1]) is None
     assert certify(g, dist, [1, 2, 1, 2]) is None  # a closed walk twice round
@@ -187,11 +189,20 @@ def test_certify_checks_cycle_certificates():
 
 def test_certify_rejects_none_claim_beside_negative_self_loop():
     g = Graph(3, ((0, 1, 1.0), (1, 1, -1.0), (2, 2, -1.0)))
-    assert "tense" in certify(g, [0.0, 1.0, None])
-    assert certify(g, [0.0, 1.0, None], [1]) is None
-    assert "not reachable" in certify(g, [0.0, 1.0, None], [2])
+    assert "tense" in certify(g, [0, 1, math.inf])
+    assert certify(g, [0, 1, math.inf], [1]) is None
+    assert "not reachable" in certify(g, [0, 1, math.inf], [2])
     # the unreached vertex 2 keeps its loop out of the "none" claim
-    assert certify(Graph(3, ((0, 1, 1.0), (2, 2, -1.0))), [0.0, 1.0, None]) is None
+    assert certify(Graph(3, ((0, 1, 1.0), (2, 2, -1.0))), [0, 1, math.inf]) is None
+
+
+def test_certify_names_a_none_distance():
+    # An unreached vertex's distance is math.inf; None is no distance, and
+    # certify names the first vertex that holds it rather than failing.
+    g = Graph(3, ((0, 1, 1), (1, 2, 1), (2, 1, -1)))
+    for dist in ([0, 1, None], [0, None, None], [None, 1, 2]):
+        assert certify(g, dist) == (f"vertex {dist.index(None)} has distance None; an "
+                                    "unreached vertex has math.inf")
 
 
 # Weights whose sums a float gets wrong: fractions whose decimal expansions do
@@ -229,9 +240,41 @@ def test_engines_oracle_and_certify_agree_exactly(weights):
         for dist in (state.dist, run_basic(g)[0].dist, run_adaptive(g)[0].dist,
                      run_yen(g, data.draw(orderings_for(g)))[0].dist,
                      run_randomized(g, seed)[0].dist):
-            assert as_inf(dist) == row
+            assert dist == row
             assert certify(g, dist) is None
-            assert all(type(d) in (int, Fraction) for d in dist if d is not None)
+            assert all(type(d) in (int, Fraction) for d in dist if d != math.inf)
+
+    check()
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_unreached_is_inf_exactly_off_the_reachable_set():
+    # Every engine and both detectors leave math.inf at exactly the vertices
+    # the source does not reach, also on a cyclic graph, where an engine
+    # stops at its cap; on a cycle-free one each finished run's dist is the
+    # oracle's row as it stands.  The budget detector may stop a cycle-free
+    # run early with a "cycle" verdict, which leaves no distances to compare.
+    outcomes = []
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def check(data):
+        g = data.draw(graphs(max_n=6, max_edges=12, weights=mixed_weights))
+        seed = data.draw(st.integers(0, 2**32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an engine's cap
+            finished = [run_basic(g)[0], run_adaptive(g)[0],
+                        run_yen(g, data.draw(orderings_for(g)))[0], run_randomized(g, seed)[0],
+                        run_with_detection(g, seed)[0]]
+        budget_state, _, budget_verdict = monte_carlo_dense_detect(g, seed)
+        reach = reachable_from_source(g)
+        for state in finished + [budget_state]:
+            assert [d == math.inf for d in state.dist] == [v not in reach for v in range(g.n)]
+        oracle = floyd_warshall(g)
+        outcomes.append(oracle.has_reachable_negative_cycle)
+        if not oracle.has_reachable_negative_cycle:
+            for state in finished + ([] if budget_verdict.found else [budget_state]):
+                assert state.dist == oracle.dist[g.source]
 
     check()
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
