@@ -177,8 +177,18 @@ def each_work_set_mode(monkeypatch):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_yen_kernel_matches_guard_scan_reference(data, each_work_set_mode):
-    # With sums beyond the float range too, every distance the kernel leaves
-    # is exact, or inf at an unreached vertex.
+    g = data.draw(graphs(max_n=8, max_edges=24))
+    ordering = data.draw(orderings_for(g))
+    for _ in each_work_set_mode():
+        assert_kernel_matches_guard_scan(g, ordering)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_yen_kernel_matches_guard_scan_when_sums_overflow(data, each_work_set_mode):
+    # With sums beyond the float range, and Fractions, every distance the
+    # kernel leaves is exact, or inf at an unreached vertex.
     g = data.draw(graphs(max_n=8, max_edges=24, weights=mixed_weights))
     ordering = data.draw(orderings_for(g))
     for _ in each_work_set_mode():
@@ -472,12 +482,14 @@ def assert_basic_and_adaptive_match_reference(g):
     assert _steps(adaptive_iterations(g), g) == _steps(reference_adaptive_iterations(g), g)
 
 
-# Self-loops, negative weights and cycles, with sums that leave the float range.
+# Self-loops, negative weights and cycles; with mixed_weights, sums also
+# leave the float range or need Fractions.
+@pytest.mark.parametrize("weights", [None, mixed_weights], ids=["small", "overflow"])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_basic_and_adaptive_match_the_reference(data, each_work_set_mode):
-    g = data.draw(graphs(max_n=8, max_edges=24, weights=mixed_weights))
+def test_basic_and_adaptive_match_the_reference(weights, data, each_work_set_mode):
+    g = data.draw(graphs(max_n=8, max_edges=24, weights=weights))
     for _ in each_work_set_mode():
         assert_basic_and_adaptive_match_reference(g)
 
