@@ -16,7 +16,7 @@ import random
 import sys
 from typing import NamedTuple, Optional
 
-from .graph import Edge, Graph, Ordering, _checked_make, _shuffle
+from .graph import Edge, Graph, Ordering, _canonical_edge, _checked_make, _shuffle
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
@@ -29,7 +29,7 @@ def worst_case_path(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"path needs n >= 2, got {n}")
-    return Graph(n, tuple((i, i + 1, 1) for i in range(n - 1)), source=0)
+    return Graph._from_checked(n, tuple((i, i + 1, 1) for i in range(n - 1)), 0)
 
 
 def adversarial_ordering(n: int) -> Ordering:
@@ -67,9 +67,14 @@ class _SpecFields(NamedTuple):
 class GeneratorSpec(_SpecFields):
     """Parameters for one generated instance.
 
-    ``m`` sizes random-sparse and planted-cycle alone; the dense kind always
-    uses every ordered pair.  Only planted-cycle takes the cycle fields; a
-    field the kind ignores raises ``ValueError``.  ``ensure_reachable`` adds
+    ``n``, ``m``, ``seed``, ``weight_min``, ``weight_max`` and
+    ``cycle_length`` are ints (``m`` and ``cycle_length`` may be None); any
+    other value raises ``ValueError`` naming the field, so every base edge
+    the generators build is an ``(int, int, int)`` tuple.  ``cycle_weight``
+    is any weight ``Graph`` takes.  ``m`` sizes random-sparse and
+    planted-cycle alone; the dense kind always uses every ordered pair.
+    Only planted-cycle takes the cycle fields; a field the kind ignores
+    raises ``ValueError``.  ``ensure_reachable`` adds
     a zero-weight spanning arborescence before the random edges, so it needs
     m >= n-1.  Planted-cycle instances always get one, so they need m >= n-1
     too; their cycle is appended after the base edges (parallel edges are
@@ -82,6 +87,10 @@ class GeneratorSpec(_SpecFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("n", "m", "weight_min", "weight_max", "seed", "cycle_length"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in ("m", "cycle_length")):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n > sys.maxsize:
@@ -140,7 +149,10 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     ``ensure_reachable`` a random recursive arborescence of zero-weight edges
     comes first.  The planted-cycle kind appends cycle_length extra edges
     whose weights are 1 except for the closing edge, which makes the total
-    equal cycle_weight.
+    equal cycle_weight.  The spec holds ints, so every base edge is built
+    as the ``(int, int, int)`` tuple ``Graph`` keeps, and the graph is built
+    without ``Graph``'s per-edge check; the cycle's edges, which carry the
+    caller's ``cycle_weight``, are converted and checked as ``Graph`` does.
 
     Every uniform draw below k is inlined as CPython's own: ``getrandbits``
     on k's bit width, rejected while >= k (so k = 1 still consumes draws).
@@ -206,9 +218,9 @@ def random_graph(spec: GeneratorSpec) -> Graph:
             a = cycle_vertices[i]
             b = cycle_vertices[(i + 1) % length]
             w = closing if i == length - 1 else 1
-            edges.append((a, b, w))
+            edges.append(_canonical_edge((a, b, w), n))
 
-    return Graph(n, tuple(edges), source=0)
+    return Graph._from_checked(n, tuple(edges), 0)
 
 
 def build_graph(spec: GeneratorSpec) -> Graph:
@@ -223,7 +235,8 @@ def complete_over_path(n: int) -> Graph:
 
     Path edges i -> i+1 keep weight 1; every other ordered pair gets weight n,
     more than the longest path distance, so the shortest-path tree is still
-    the single path while the instance is fully dense.
+    the single path while the instance is fully dense.  ``n`` is an int, so
+    the graph is built without ``Graph``'s per-edge check.
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
@@ -234,4 +247,4 @@ def complete_over_path(n: int) -> Graph:
                 continue
             w = 1 if v == u + 1 else n
             edges.append((u, v, w))
-    return Graph(n, tuple(edges), source=0)
+    return Graph._from_checked(n, tuple(edges), 0)

@@ -43,9 +43,12 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
 
     ``edges`` holds ``(int, int, weight)`` tuples.  An input edge that is a
     tuple of three values of type exactly ``int``, with endpoints in [0, n),
-    is kept as the same object, as the generators build them; any other edge
-    is converted and checked.  ``load_dimacs``, which checks each arc as it
-    parses it, builds its graph without this check.
+    is kept as the same object; any other edge is converted and checked.
+    Two builders skip this per-edge check through ``_from_checked``: the
+    generators, which build each base edge as such a tuple (a planted
+    cycle's edges, which carry the caller's weight, go through the same
+    conversion first), and ``load_dimacs``, which checks each arc as it
+    parses it.
     """
 
     __slots__ = ()
@@ -73,8 +76,10 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
         """The graph as given, unchecked, for a caller that built every edge canonical.
 
         The caller has refused whatever ``Graph(n, edges, source)`` refuses, and each
-        edge is a tuple that ``Graph`` would keep as the same object, as
-        ``load_dimacs`` builds them.
+        edge is what ``Graph`` would make of it: an ``(int, int, int)`` tuple that it
+        keeps as the same object, or ``_canonical_edge``'s result.  The callers are
+        ``worst_case_path``, ``random_graph`` (whose planted-cycle edges go through
+        ``_canonical_edge``), ``complete_over_path`` and ``load_dimacs``.
         """
         return super().__new__(cls, n, edges, source)
 

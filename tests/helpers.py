@@ -278,6 +278,15 @@ mixed_weights = st.one_of(
 )
 
 
+def _refuse_digits(lineno: int, what: str, token: str) -> None:
+    """Raise the digit-limit diagnostic if ``token`` is an integer that ``int()`` refused."""
+    if re.fullmatch("[+-]?[0-9]+(_[0-9]+)*", token):
+        raise DimacsFormatError(
+            "line %d: %s '%s...' has %d digits; sys.get_int_max_str_digits() is %d"
+            % (lineno, what, token[:12], len(re.findall("[0-9]", token)),
+               sys.get_int_max_str_digits())) from None
+
+
 def reference_load_dimacs(path, source: int = 1) -> Graph:
     """Reference .gr reader: text-mode line iteration, one line at a time.
 
@@ -315,18 +324,18 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                     raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")
                 if len(parts) != 4:
                     raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
+                ids = []
+                for token in parts[1:3]:
+                    try:
+                        ids.append(int(token))
+                    except ValueError:
+                        _refuse_digits(lineno, "vertex id", token)
+                        raise DimacsFormatError(f"line {lineno}: malformed arc line {line!r}") from None
+                u, v = ids
                 try:
                     w = int(parts[3])
                 except ValueError:
-                    if re.fullmatch("[+-]?[0-9]+(_[0-9]+)*", parts[3]):  # over int()'s digit limit
-                        raise DimacsFormatError(
-                            "line %d: weight '%s...' has %d digits; sys.get_int_max_str_digits() is %d"
-                            % (lineno, parts[3][:12], len(re.findall("[0-9]", parts[3])),
-                               sys.get_int_max_str_digits())) from None
+                    _refuse_digits(lineno, "weight", parts[3])
                     raise DimacsFormatError(f"line {lineno}: non-integer weight {parts[3]!r}") from None
                 if not 1 <= u <= n or not 1 <= v <= n:
                     raise DimacsFormatError(f"line {lineno}: vertex id out of range in {line!r}")

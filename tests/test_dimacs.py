@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,36 @@ def test_weight_too_large_for_a_float(tmp_path):
     assert g.edges == ((0, 1, 1), (1, 0, 10**400))
 
 
+def test_vertex_id_over_the_digit_limit_is_cut_short(tmp_path):
+    # It was "malformed arc line" quoting the whole 5000-digit line.
+    huge = "1" + "0" * 5000
+    limit = sys.get_int_max_str_digits()
+    for arc, cut in ((f"a 1 {huge} 3", "100000000000"), (f"a +{huge} 1 3", "+10000000000"),
+                     (f"a 1 {huge} x", "100000000000")):
+        with pytest.raises(DimacsFormatError) as excinfo:
+            _load(tmp_path, f"p sp 2 1\n{arc}\n")
+        assert str(excinfo.value) == (
+            f"line 2: vertex id '{cut}...' has 5001 digits; sys.get_int_max_str_digits() is {limit}")
+    # The first token int() refuses is named: here a malformed one.
+    with pytest.raises(DimacsFormatError, match="^line 2: malformed arc line 'a x "):
+        _load(tmp_path, f"p sp 2 1\na x {huge} 3\n")
+
+
+def test_a_vertex_token_is_parsed_once_and_checked_as_before(tmp_path):
+    g = _load(tmp_path, "p sp 9 4\na 7 1 2\na 07 1 3\na +7 07 4\na 0_7 +7 5\n")
+    assert g.edges == ((6, 0, 2), (6, 0, 3), (6, 6, 4), (6, 6, 5))
+    assert all(type(x) is int for e in g.edges for x in e)
+    # Tail 1 is known from line 2 and head 3 is not: the arc is still refused.
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, "p sp 2 2\na 1 2 5\na 1 3 5\n")
+    assert str(excinfo.value) == "line 3: vertex id out of range in 'a 1 3 5'"
+    # A bad weight is still named before an out-of-range id, known token or not.
+    with pytest.raises(DimacsFormatError, match="^line 3: non-integer weight 'x'$"):
+        _load(tmp_path, "p sp 2 2\na 1 2 5\na 1 3 x\n")
+    with pytest.raises(DimacsFormatError, match="^line 3: non-integer weight 'x'$"):
+        _load(tmp_path, "p sp 2 2\na 1 2 5\na 2 1 x\n")
+
+
 def test_unrecognized_and_duplicate_lines(tmp_path):
     with pytest.raises(DimacsFormatError, match="unrecognized"):
         _load(tmp_path, "p sp 2 1\nq what\na 1 2 5\n")
@@ -96,6 +127,20 @@ def test_write_rejects_fractional_weights(tmp_path):
     assert str(excinfo.value) == str(expected.value) == \
         "DIMACS weights must be integers, got Fraction(5, 2) on (1, 2)"
     assert not path.exists()
+
+
+def test_write_keeps_no_table_of_all_vertices(tmp_path):
+    # Names are memoized for the vertices the edges name, not for all n.
+    g = Graph(10**6, ((0, 999_999, 1), (999_999, 0, -1)))
+    path = tmp_path / "sparse.gr"
+    tracemalloc.start()
+    try:
+        write_dimacs(g, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert path.read_text() == "p sp 1000000 2\na 1 1000000 1\na 1000000 1 -1\n"
 
 
 def test_write_refuses_a_weight_over_the_digit_limit(tmp_path):
@@ -150,7 +195,10 @@ def _rarely(common, rare):
 @st.composite
 def _mutated_dimacs(draw):
     n = draw(st.integers(1, 5))
-    vertex = _rarely(st.integers(1, n), st.sampled_from((0, n + 1, -1))).map(str)
+    # A vertex id is also written as "07" or "+7" now and then: tokens that the
+    # loader parses apart but that name one vertex.
+    vertex = _rarely(st.integers(1, n), st.sampled_from((0, n + 1, -1))).flatmap(
+        lambda k: _rarely(st.just(str(k)), st.sampled_from((f"0{k}", f"+{k}"))))
     weight = _rarely(st.integers(-20, 20).map(str), st.sampled_from(_BAD_TOKENS))
     arcs = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=6))
     m = draw(_rarely(st.just(len(arcs)), st.integers(0, 8)))
@@ -281,3 +329,23 @@ def test_write_matches_int_formatting(tmp_path_factory, weights):
     path = tmp_path_factory.getbasetemp() / "written.gr"
     write_dimacs(g, path)
     assert path.read_bytes() == reference_dimacs_text(g).encode("ascii")
+
+
+@st.composite
+def _wide_graphs(draw):
+    """Graphs whose ids have up to 13 digits, with parallel edges and self-loops."""
+    n = draw(st.integers(1, 10**12))
+    vertex = st.integers(0, n - 1) | st.sampled_from((0, n - 1))
+    tails = draw(st.lists(vertex, min_size=1, max_size=4))
+    edges = draw(st.lists(st.tuples(st.sampled_from(tails), vertex | st.sampled_from(tails),
+                                    st.integers(-10**20, 10**20)), max_size=10))
+    return Graph(n, tuple(edges + edges[:draw(st.integers(0, 2))]))
+
+
+@given(g=_wide_graphs())
+@settings(max_examples=200, deadline=None)
+def test_write_names_vertices_of_many_digits(tmp_path_factory, g):
+    path = tmp_path_factory.getbasetemp() / "wide.gr"
+    write_dimacs(g, path)
+    assert path.read_bytes() == reference_dimacs_text(g).encode("ascii")
+    assert load_dimacs(path) == g

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import statistics
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from relaxbench import (
     run_yen,
     worst_case_path,
 )
+from relaxbench.generators import KINDS
 
 from helpers import (
     all_orderings,
@@ -212,6 +215,14 @@ def test_spec_validation():
         GeneratorSpec(kind="random-sparse", n=4).base_edge_count()  # no m
     with pytest.raises(ValueError, match="above sys.maxsize"):
         GeneratorSpec(kind="random-dense", n=sys.maxsize + 1)
+    # Each of these failed inside build_graph (AttributeError, TypeError), or
+    # for seed=1.5 built a graph labelled seed=1.5.
+    planted = dict(kind="planted-cycle", n=5, m=6, cycle_length=3, cycle_weight=-1)
+    for field, value in [("n", 5.0), ("m", 6.0), ("weight_min", 0.0), ("weight_max", 7.0),
+                         ("seed", 1.5), ("cycle_length", 2.0), ("n", True), ("seed", None),
+                         ("n", "5")]:
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            GeneratorSpec(**{**planted, field: value})
 
 
 @pytest.mark.parametrize("kind", ["path-worst-case", "random-dense"])
@@ -274,6 +285,47 @@ def test_spec_label_round_trips_key_fields():
     for token in ("kind=planted-cycle", "n=12", "m=24", "seed=9",
                   "cycle_length=3", "cycle_weight=-1"):
         assert token in label
+
+
+_EVERY_KIND = [
+    GeneratorSpec(kind="path-worst-case", n=9),
+    GeneratorSpec(kind="random-sparse", n=9, m=20, weight_min=-2**70, weight_max=2**70, seed=4),
+    GeneratorSpec(kind="random-sparse", n=9, m=12, seed=5, ensure_reachable=True),
+    GeneratorSpec(kind="random-dense", n=7, seed=6),
+    GeneratorSpec(kind="planted-cycle", n=9, m=20, seed=7, cycle_length=4, cycle_weight=-3),
+    GeneratorSpec(kind="planted-cycle", n=4, m=12, seed=8, cycle_length=1, cycle_weight=-1),
+]
+
+
+def test_generators_build_the_graph_that_graph_would_check():
+    # The generators skip Graph's per-edge check, so each edge must already be
+    # one that Graph keeps as the same object.
+    assert {s.kind for s in _EVERY_KIND} == set(KINDS)
+    for g in [*map(build_graph, _EVERY_KIND), worst_case_path(9), complete_over_path(7)]:
+        checked = Graph(g.n, g.edges, g.source)
+        assert type(g) is Graph and g == checked
+        assert all(a is b for a, b in zip(g.edges, checked.edges))
+
+
+@pytest.mark.parametrize("cycle_weight, closing", [
+    (-1.0, -3), (Fraction(-3, 2), Fraction(-7, 2)), (-2**70, -2**70 - 2)])
+def test_planted_cycle_weight_is_converted_as_graph_converts_it(cycle_weight, closing):
+    spec = GeneratorSpec(kind="planted-cycle", n=6, m=8, seed=2, cycle_length=3,
+                         cycle_weight=cycle_weight)
+    g = build_graph(spec)
+    assert g == Graph(g.n, g.edges, g.source)
+    assert [type(w) for _, _, w in g.edges[-3:]] == [int, int, type(closing)]
+    assert [w for _, _, w in g.edges[-3:]] == [1, 1, closing]
+
+
+@pytest.mark.parametrize("cycle_weight, message", [
+    (-1.5, r"has weight -3\.5, a float that is not an integer"),
+    (-math.inf, "has non-finite weight -inf")])
+def test_planted_cycle_refuses_a_weight_graph_refuses(cycle_weight, message):
+    spec = GeneratorSpec(kind="planted-cycle", n=6, m=8, seed=2, cycle_length=3,
+                         cycle_weight=cycle_weight)
+    with pytest.raises(ValueError, match=message):
+        build_graph(spec)
 
 
 def test_complete_over_path_keeps_the_path_tree():

@@ -84,9 +84,11 @@ CASES.update({
     "verify-planted-120": f"verify {C4} --n 120 --m 600",
     # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
     # huge.gr's vertex count is 2^64, above sys.maxsize.  weight-too-many-digits.gr's
-    # one weight has 5001 digits, above the 4300 that int() reads by default.
+    # one weight and vertex-id-too-many-digits.gr's one head id have 5001 digits,
+    # above the 4300 that int() reads by default.
     **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
-       for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "weight-too-many-digits")},
+       for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "weight-too-many-digits",
+                    "vertex-id-too-many-digits")},
     "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",
