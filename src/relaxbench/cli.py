@@ -5,9 +5,9 @@ Subcommands:
   run        run one engine over a seed batch, emit per-trial records
   verify     cross-check every engine and the detector against Floyd-Warshall
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 negative cycle detected under --fail-on-cycle.  Records are emitted in seed
-order and are deterministic for identical inputs except for wall_time_ns.
+Exit codes: 0 success, 1 verification failure, 2 malformed input (a generator flag,
+whose default is ``GeneratorSpec``'s, without --gen too), 3 negative cycle detected under
+--fail-on-cycle.  Records come in seed order, and every field but wall_time_ns is deterministic.
 
 A ``run`` batch runs its trials on min(seeds, usable CPUs, seeds * m // 128000)
 processes, this one and workers forked from it, where usable CPUs are the
@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Optional, Sequence
 from .dimacs import load_dimacs, write_dimacs
 from .engines import run_adaptive, run_basic, run_randomized, run_yen
 from .generators import KINDS, GeneratorSpec, adversarial_ordering, build_graph
-from .graph import Graph, identity_ordering
+from .graph import Graph, _check_seed, identity_ordering
 from .negcycle import run_with_detection
 from .oracle import certify, floyd_warshall
 
@@ -104,10 +104,10 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
     """Execute one trial per seed; records come back in seed order.
 
     A contradictory config raises ``ValueError`` before the first trial: an
-    unknown algorithm or ordering, a negative seed, a flag of ``FLAG_NEEDS``
-    set for another algorithm, or the adversarial ordering off the path
-    0 -> 1 -> ... -> n-1 with source 0.  ``ordering=None`` is the identity
-    for ``yen``.
+    unknown algorithm or ordering, a seed that is not a non-negative ``int``,
+    a flag of ``FLAG_NEEDS`` set for another algorithm, or the adversarial
+    ordering off the path 0 -> 1 -> ... -> n-1 with source 0.
+    ``ordering=None`` is the identity for ``yen``.
 
     With ``check_oracle`` every trial's verdict is checked by
     :func:`~relaxbench.oracle.certify` in O(n + m): a cycle against its hops,
@@ -128,8 +128,8 @@ def run_trials(config: TrialConfig) -> List[TrialRecord]:
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
     if config.ordering is not None and config.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {config.ordering!r}")
-    if any(seed < 0 for seed in config.seeds):
-        raise ValueError(f"seed must be a non-negative integer, got {min(config.seeds)}")
+    for seed in config.seeds:
+        _check_seed(seed)
     for flag, (field, needed) in FLAG_NEEDS.items():
         if getattr(config, field) and config.algorithm != needed:
             raise ValueError(f"{flag} needs algorithm {needed!r}, got {config.algorithm!r}")
@@ -313,11 +313,11 @@ def _add_graph_source_args(parser: argparse.ArgumentParser) -> None:
     src.add_argument("--gen", choices=KINDS, help="generator kind")
     src.add_argument("--n", type=int, help="vertex count for the generator")
     src.add_argument("--m", type=int, help="edge count for random kinds")
-    src.add_argument("--weight-min", type=int, default=-3)
-    src.add_argument("--weight-max", type=int, default=7)
-    src.add_argument("--graph-seed", type=int, default=0,
+    src.add_argument("--weight-min", type=int)
+    src.add_argument("--weight-max", type=int)
+    src.add_argument("--graph-seed", type=int,
                      help="seed for the instance generator (not the engine)")
-    src.add_argument("--ensure-reachable", action="store_true",
+    src.add_argument("--ensure-reachable", action="store_true", default=None,
                      help="add a zero-weight spanning arborescence first")
     src.add_argument("--cycle-length", type=int, help="planted cycle length")
     src.add_argument("--cycle-weight", type=int, help="planted cycle total weight (negative)")
@@ -326,7 +326,13 @@ def _add_graph_source_args(parser: argparse.ArgumentParser) -> None:
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if (args.input is None) == (args.gen is None):
         raise ValueError("exactly one of --input or --gen is required")
+    # GeneratorSpec field -> its flag's dest; run's --seed seeds the engine.
+    dests = {f: "graph_seed" if f == "seed" else f for f in GeneratorSpec._fields[1:]}
+    given = {f: getattr(args, d) for f, d in dests.items() if getattr(args, d) is not None}
     if args.input is not None:
+        if given:
+            flag = dests[next(iter(given))].replace("_", "-")
+            raise ValueError(f"--{flag} needs --gen; --input reads the graph from its file")
         import hashlib  # only a file source pays for importing it
 
         source = 1 if args.source is None else args.source
@@ -338,17 +344,7 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, str]:
         raise ValueError("--source needs --input; a generated graph's source is vertex 1")
     if args.n is None:
         raise ValueError("--gen requires --n")
-    spec = GeneratorSpec(
-        kind=args.gen,
-        n=args.n,
-        m=args.m,
-        weight_min=args.weight_min,
-        weight_max=args.weight_max,
-        seed=args.graph_seed,
-        ensure_reachable=args.ensure_reachable,
-        cycle_length=args.cycle_length,
-        cycle_weight=args.cycle_weight,
-    )
+    spec = GeneratorSpec(args.gen, **given)
     return build_graph(spec), spec.label()
 
 

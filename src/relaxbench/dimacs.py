@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Union
 
-from .graph import Graph
+from .graph import Graph, _check_index
 
 
 class DimacsFormatError(ValueError):
@@ -45,15 +45,15 @@ def _vertex_id_error(lineno: int, raw: str, tokens: list[str]) -> DimacsFormatEr
 
 
 def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
-    """Parse a .gr file; ``source`` is the 1-based external id of the source.
+    """Parse a .gr file; ``source``, an integer, is the 1-based external id of the source.
 
-    Distinct diagnostics: missing problem line, vertex count above
-    ``sys.maxsize``, arc-count mismatch, vertex id or weight over ``int()``'s
-    digit limit, vertex id out of range, non-integer weight, non-ASCII byte.
-    Each names its line number and, where the line is at fault, the line
-    with surrounding whitespace stripped, or a long token cut short.  A
-    weight is an ``int`` of any size below that limit, so every sum over it
-    is exact.
+    Distinct diagnostics: missing problem line, a vertex count that ``Graph``
+    refuses (by its own check), arc-count mismatch, vertex id or weight over
+    ``int()``'s digit limit, vertex id out of range, non-integer weight,
+    non-ASCII byte.  Each names its line number and, where the line is at
+    fault, the line with surrounding whitespace stripped, or a long token cut
+    short.  A weight is an ``int`` of any size below that limit, so every sum
+    over it is exact.
 
     The file is read as text and split on newlines, as iterating a text file
     splits it (universal newlines: ``\\r\\n`` and a lone ``\\r`` end a line too;
@@ -114,10 +114,10 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
                 raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}")
             try:
                 n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}") from None
-            if n > sys.maxsize:
-                raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
+                _check_index(n, f"line {lineno}: vertex count")
+            except ValueError as exc:  # n is set once both counts parse
+                raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}"
+                                        if n is None else str(exc)) from None
         else:
             raise DimacsFormatError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
@@ -126,7 +126,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
         raise DimacsFormatError(f"arc count mismatch: problem line says {m}, file has {len(edges)}")
     if not 1 <= source <= n:
         raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
-    return Graph._from_checked(n, tuple(edges), source - 1)
+    return Graph._from_checked(n, tuple(edges), _check_index(source, "source id") - 1)
 
 
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:

@@ -13,10 +13,10 @@ on every supported Python version (3.10-3.13).
 from __future__ import annotations
 
 import random
-import sys
 from typing import NamedTuple, Optional
 
-from .graph import Edge, Graph, Ordering, _canonical_edge, _checked_make, _shuffle
+from .graph import (Edge, Graph, Ordering, _canonical_edge, _check_index, _check_seed,
+                    _checked_make, _shuffle)
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
@@ -27,8 +27,7 @@ def worst_case_path(n: int) -> Graph:
     Its shortest-path tree is the unique (n-1)-edge path, the configuration
     that maximizes the expected iteration count of the randomized engine.
     """
-    if n < 2:
-        raise ValueError(f"path needs n >= 2, got {n}")
+    n = _check_index(n, "n", 2)
     return Graph._from_checked(n, tuple((i, i + 1, 1) for i in range(n - 1)), 0)
 
 
@@ -41,8 +40,7 @@ def adversarial_ordering(n: int) -> Ordering:
     alternate between the ascending and descending subgraphs maximally, which
     drives the fixed-ordering engine to about n/2 iterations.
     """
-    if n < 2:
-        raise ValueError(f"ordering needs n >= 2, got {n}")
+    n = _check_index(n, "n", 2)
     rank = [0] * n
     for i in range(1, n, 2):
         rank[i] = n - 1 - (i - 1) // 2
@@ -65,17 +63,18 @@ class _SpecFields(NamedTuple):
 
 
 class GeneratorSpec(_SpecFields):
-    """Parameters for one generated instance.
+    """Parameters for one generated instance; its defaults are the command line's too.
 
     ``n``, ``m``, ``seed``, ``weight_min``, ``weight_max`` and
     ``cycle_length`` are ints (``m`` and ``cycle_length`` may be None); any
     other value raises ``ValueError`` naming the field, so every base edge
-    the generators build is an ``(int, int, int)`` tuple.  ``cycle_weight``
-    is any weight ``Graph`` takes.  ``m`` sizes random-sparse and
-    planted-cycle alone; the dense kind always uses every ordered pair.
-    Only planted-cycle takes the cycle fields; a field the kind ignores
-    raises ``ValueError``.  ``ensure_reachable`` adds
-    a zero-weight spanning arborescence before the random edges, so it needs
+    the generators build is an ``(int, int, int)`` tuple.  ``n`` and ``seed``
+    pass the checks of ``Graph`` and ``random_ordering`` (path-worst-case
+    needs n >= 2).  ``cycle_weight`` is any weight ``Graph`` takes.  ``m``
+    sizes random-sparse and planted-cycle alone; the dense kind always uses
+    every ordered pair.  Only planted-cycle takes the cycle fields; a field
+    the kind ignores raises ``ValueError``.  ``ensure_reachable`` adds a
+    zero-weight spanning arborescence before the random edges, so it needs
     m >= n-1.  Planted-cycle instances always get one, so they need m >= n-1
     too; their cycle is appended after the base edges (parallel edges are
     legal) and is therefore reachable from the source.
@@ -91,13 +90,8 @@ class GeneratorSpec(_SpecFields):
             value = getattr(self, name)
             if type(value) is not int and not (value is None and name in ("m", "cycle_length")):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n > sys.maxsize:
-            raise ValueError(f"n = {self.n} is above sys.maxsize; no list can index its vertices")
-        if self.seed < 0:
-            # Random(-s) seeds as Random(s) does: one graph under two labels.
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_index(self.n, "n", 2 if self.kind == "path-worst-case" else 1)
+        _check_seed(self.seed)
         if self.weight_min > self.weight_max:
             raise ValueError("weight_min must be <= weight_max")
         if self.kind in ("path-worst-case", "random-dense") and self.m is not None:
@@ -105,8 +99,6 @@ class GeneratorSpec(_SpecFields):
         if self.kind != "planted-cycle" and (self.cycle_length, self.cycle_weight) != (None, None):
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
-            if self.n < 2:
-                raise ValueError(f"{self.kind} needs n >= 2")
             return self
         base = self.base_edge_count()
         if not 0 <= base <= self.n * (self.n - 1):
@@ -238,8 +230,7 @@ def complete_over_path(n: int) -> Graph:
     the single path while the instance is fully dense.  ``n`` is an int, so
     the graph is built without ``Graph``'s per-edge check.
     """
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
+    n = _check_index(n, "n", 2)
     edges = []
     for u in range(n):
         for v in range(n):

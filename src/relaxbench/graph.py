@@ -11,6 +11,7 @@ by scanning ``Graph.edges`` themselves.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from collections import namedtuple
@@ -26,6 +27,24 @@ Weight = Union[int, "Fraction"]
 Edge = Tuple[int, int, Weight]  # (tail, head, weight)
 
 
+def _check_index(value, name: str, least: int = 1) -> int:
+    """A vertex count or a source as an int in [least, sys.maxsize], or ``ValueError`` naming it."""
+    try:
+        value = operator.index(value)  # where int() would truncate a float or parse a string
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not least <= value <= sys.maxsize:
+        raise ValueError(f"{name} must be >= {least}, got {value}" if value < least
+                         else f"{name} {value} is above sys.maxsize")
+    return value
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative ``int``: ``Random(-s)`` seeds as ``Random(s)``."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _checked_make(cls, fields):
     """``_make`` for a record class that checks its fields, so ``_replace`` checks them too."""
     return cls(*fields)
@@ -34,31 +53,26 @@ def _checked_make(cls, fields):
 class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     """Immutable directed weighted multigraph with a source vertex.
 
-    Parallel edges and self-loops are allowed.  Weights are exact, so every
-    sum and comparison of distances is: an integral weight of any type
-    becomes an ``int``, and any other becomes a ``Fraction`` as
-    ``Fraction()`` converts it (a decimal string included).  A float that is
-    not an integer, NaN and the infinities included, raises ``ValueError``
-    naming the edge.  Instances are safe to share across threads.
+    The vertex count, the source and the endpoints are integers, converted
+    by ``operator.index``: a float, a ``Fraction`` or a string among them
+    raises ``ValueError`` naming it.  Parallel edges and self-loops are
+    allowed.  Weights are exact, so every sum and comparison of distances
+    is: an integral weight of any type becomes an ``int``, and any other a
+    ``Fraction`` as ``Fraction()`` converts it (a decimal string included).
+    A float that is not an integer, NaN and the infinities included, raises
+    ``ValueError`` naming the edge.  Instances are safe to share across threads.
 
     ``edges`` holds ``(int, int, weight)`` tuples.  An input edge that is a
     tuple of three values of type exactly ``int``, with endpoints in [0, n),
     is kept as the same object; any other edge is converted and checked.
-    Two builders skip this per-edge check through ``_from_checked``: the
-    generators, which build each base edge as such a tuple (a planted
-    cycle's edges, which carry the caller's weight, go through the same
-    conversion first), and ``load_dimacs``, which checks each arc as it
-    parses it.
+    The generators and ``load_dimacs`` skip this check (``_from_checked``).
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, edges: Sequence[Edge], source: int = 0) -> Graph:
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        if n > sys.maxsize:
-            raise ValueError(f"vertex count {n} is above sys.maxsize; no list can index it")
-        if not 0 <= source < n:
+        n, source = _check_index(n, "vertex count"), _check_index(source, "source", 0)
+        if source >= n:
             raise ValueError(f"source {source} out of range [0, {n})")
         canon = []
         for e in edges:
@@ -75,9 +89,9 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     def _from_checked(cls, n: int, edges: Tuple[Edge, ...], source: int) -> Graph:
         """The graph as given, unchecked, for a caller that built every edge canonical.
 
-        The caller has refused whatever ``Graph(n, edges, source)`` refuses, and each
-        edge is what ``Graph`` would make of it: an ``(int, int, int)`` tuple that it
-        keeps as the same object, or ``_canonical_edge``'s result.  The callers are
+        The caller has refused whatever ``Graph(n, edges, source)`` refuses and built
+        what it would keep: ints ``n`` and ``source``, and each edge as an
+        ``(int, int, int)`` tuple or ``_canonical_edge``'s result.  The callers are
         ``worst_case_path``, ``random_graph`` (whose planted-cycle edges go through
         ``_canonical_edge``), ``complete_over_path`` and ``load_dimacs``.
         """
@@ -99,8 +113,8 @@ def _canonical_edge(e, n: int) -> Edge:
     """Convert one edge to ``(int, int, weight)``, refusing what ``Graph`` cannot hold."""
     u, v, w = e
     try:
-        u, v = int(u), int(v)
-    except (OverflowError, ValueError):
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
         raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
     if not 0 <= u < n or not 0 <= v < n:
         raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
@@ -126,14 +140,17 @@ def _canonical_edge(e, n: int) -> Edge:
 class Ordering(namedtuple("Ordering", "rank")):
     """A bijective vertex numbering; ``rank[v]`` is the position of vertex v.
 
-    Valid orderings for a graph put the source at rank 0 (checked by
-    :meth:`validate_for`, which every consumer calls on entry).
+    Ranks pass ``operator.index``, so a float raises ``ValueError``; a graph's orderings put its
+    source at rank 0 (checked by :meth:`validate_for`, which every consumer calls on entry).
     """
 
     __slots__ = ()
 
     def __new__(cls, rank: Sequence[int]) -> Ordering:
-        rank = tuple(map(int, rank))
+        try:
+            rank = tuple(map(operator.index, rank))
+        except TypeError as exc:
+            raise ValueError(f"rank must be a permutation of 0..n-1; {exc}") from None
         # n distinct integers between 0 and n-1 are a permutation of them.
         n = len(rank)
         if n and (len(set(rank)) != n or min(rank) != 0 or max(rank) != n - 1):
@@ -210,11 +227,8 @@ def partition_edges(g: Graph, ordering: Ordering) -> EdgePartition:
 
 def identity_ordering(g: Graph) -> Ordering:
     """The source-first ordering that otherwise preserves vertex index order."""
-    order = [g.source] + [v for v in range(g.n) if v != g.source]
-    rank = [0] * g.n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    return Ordering(tuple(rank))
+    s = g.source
+    return Ordering(tuple(0 if v == s else v + (v < s) for v in range(g.n)))
 
 
 def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
@@ -235,10 +249,9 @@ def random_ordering(g: Graph, seed: int) -> Ordering:
     The (n, source, seed) -> ordering map is part of the external contract:
     it is bit-identical across runs, platforms, and Python versions.
     All (n-1)! source-first permutations are equally likely under a uniform
-    seed.
+    seed.  A seed that is not a non-negative ``int`` raises ``ValueError``.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    _check_seed(seed)
     others = [v for v in range(g.n) if v != g.source]
     _shuffle(others, random.Random(seed).getrandbits)
     rank = [0] * g.n

@@ -20,7 +20,7 @@ import math
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 from .engines import RunStats, SsspState, _stats, yen_iterations
-from .graph import Graph, Weight, random_ordering
+from .graph import Graph, Weight, _check_index, random_ordering
 from .permstats import check_c
 
 
@@ -74,15 +74,14 @@ def iteration_threshold(n: int, c: float) -> int:
     continued work signals a negative cycle.  Natural logarithm throughout.
     Requires n >= 2 and a positive, finite c.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _check_index(n, "n", 2)
     check_c(c)
     return math.ceil(n / 3 + 2 + math.sqrt(2 * c * n * math.log(n)))
 
 
 def iteration_cap(n: int) -> int:
     """ceil(n/2) + 2: the deterministic fallback bound on detection runs."""
-    return math.ceil(n / 2) + 2
+    return math.ceil(_check_index(n, "n") / 2) + 2
 
 
 def detection_start(n: int, c: float) -> int:
@@ -94,7 +93,7 @@ def detection_start(n: int, c: float) -> int:
     at every n, also below 2, where the first iteration is the one check.
     """
     check_c(c)
-    if n < 2:
+    if _check_index(n, "n") < 2:
         return 1
     return min(iteration_threshold(n, c), iteration_cap(n))
 
@@ -173,8 +172,7 @@ def run_with_detection(
 
 def dense_relaxation_budget(n: int, c: float) -> float:
     """n^3/6 + sqrt(2)*n^(5/2)*sqrt(c*ln n): dense high-probability bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_index(n, "n")
     check_c(c)
     return n**3 / 6 + math.sqrt(2) * n**2.5 * math.sqrt(c * math.log(n))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .graph import _check_index
+
 
 def count_local_minima(values: Sequence[float]) -> int:
     """Number of interior elements strictly smaller than both neighbours.
@@ -42,7 +44,6 @@ def local_minima_tail_threshold(n: int, c: float) -> float:
     Uses the natural logarithm.  Requires n >= 3 (no interior otherwise)
     and a positive, finite c.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    n = _check_index(n, "n", 3)
     check_c(c)
     return (n - 2) / 3 + math.sqrt(2 * c * n * math.log(n))

@@ -317,6 +317,8 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                     n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise DimacsFormatError(f"line {lineno}: malformed problem line {line!r}") from None
+                if n < 1:
+                    raise DimacsFormatError(f"line {lineno}: vertex count must be >= 1, got {n}")
                 if n > sys.maxsize:
                     raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
             elif parts[0] == "a":

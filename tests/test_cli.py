@@ -126,6 +126,46 @@ def test_run_trials_detect_cycles_requires_randomized(algorithm, flags, graph, m
         run_trials(config)
 
 
+def test_run_trials_refuses_an_unknown_algorithm_and_a_seed_that_is_no_int():
+    with pytest.raises(ValueError, match="^unknown algorithm 'dijkstra'$"):
+        run_trials(TrialConfig(graph=worst_case_path(6), algorithm="dijkstra", seeds=[0]))
+    for algorithm in ALGORITHMS:
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got 1\.5$"):
+            run_trials(TrialConfig(graph=worst_case_path(6), algorithm=algorithm, seeds=[0, 1.5]))
+
+
+def test_emit_stats_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit_stats([_record()], "xml")
+
+
+@pytest.mark.parametrize("flag", ["--n=5", "--m=3", "--weight-min=2", "--weight-max=2",
+                                  "--graph-seed=4", "--ensure-reachable", "--cycle-length=3",
+                                  "--cycle-weight=-1"])
+@pytest.mark.parametrize("command", [["run", "--algorithm", "basic"], ["verify"]])
+def test_cli_refuses_a_generator_flag_beside_input(tmp_path, capsys, flag, command):
+    # Each of these used to be ignored.
+    gr = tmp_path / "g.gr"
+    write_dimacs(worst_case_path(3), gr)
+    assert main([*command, "--input", str(gr), flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {flag.partition('=')[0]} needs --gen; "
+                   "--input reads the graph from its file\n")
+
+
+def test_cli_verify_exits_1_on_a_mismatch(capsys, monkeypatch):
+    def off_by_one(g, seed, config):
+        state, stats = run_randomized(g, seed)[:2]
+        state.dist[-1] += 1
+        return state, stats
+
+    monkeypatch.setitem(ENGINES, "yen", off_by_one)
+    assert main(["verify", "--gen", "path-worst-case", "--n", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "basic: ok", "adaptive: ok", "yen: MISMATCH", "randomized: ok", "detector: ok"]
+
+
 def test_run_trials_check_oracle_rejects_wrong_distances(monkeypatch):
     def off_by_one(g, seed, config):
         state, stats, _ = run_randomized(g, seed)
@@ -429,12 +469,14 @@ _MUTANTS = ("nan", "inf", "-inf", "1e3", "0x10", "1.5", "-1", "0", "é")
 _HUGE = (str(2**64), str(2**1100), str(-2**1100))
 _INTS = st.sampled_from(("-3", "-1", "0", "1", "2", "5") + _HUGE)
 _GEN_FLAGS = {
+    "--n": st.sampled_from(("-1", "0", "1", "2", "5", "8") + _HUGE),
     "--m": st.sampled_from(("-1", "0", "3", "10", "60") + _HUGE),
     "--weight-min": _INTS,
     "--weight-max": _INTS,
     "--graph-seed": _INTS,
     "--cycle-length": st.sampled_from(("-1", "0", "1", "3", "9")),
     "--cycle-weight": _INTS,
+    "--ensure-reachable": None,  # a switch
 }
 _RUN_FLAGS = {
     "--ordering": st.sampled_from(("identity", "adversarial")),
@@ -474,19 +516,19 @@ def _cli_argv(draw, gr, out):
     """An argument list for ``main`` and the bytes of the DIMACS file ``gr``, if it reads one."""
     command = draw(st.sampled_from(("run", "verify", "generate")))
     argv, data = [command], None
+    flags = dict(_GEN_FLAGS)
     if command != "generate" and draw(st.booleans()):
         data = draw(_dimacs_bytes())
         argv += ["--input", str(gr)]
         if draw(st.booleans()):
             argv.append(f"--source={draw(st.sampled_from(('0', '1', '3', '9') + _HUGE))}")
+        odds = 15  # now and then a generator flag, which --input refuses
     else:
-        argv += ["--gen", draw(st.sampled_from(KINDS)),
-                 f"--n={draw(st.sampled_from(('-1', '0', '1', '2', '5', '8') + _HUGE))}"]
-        for flag, values in _GEN_FLAGS.items():
-            if draw(st.integers(0, 2)) == 0:
-                argv.append(f"{flag}={draw(values)}")
-        if draw(st.booleans()):
-            argv.append("--ensure-reachable")
+        argv += ["--gen", draw(st.sampled_from(KINDS)), f"--n={draw(flags.pop('--n'))}"]
+        odds = 2
+    for flag, values in flags.items():
+        if draw(st.integers(0, odds)) == 0:
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
     if command == "run":
         argv += ["--algorithm", draw(st.sampled_from(ALGORITHMS))]
         for flag, values in _RUN_FLAGS.items():
@@ -513,6 +555,8 @@ def test_main_keeps_its_exit_code_contract_on_hostile_input(tmp_path_factory, da
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
+    if gr is not None and any(a.partition("=")[0] in _GEN_FLAGS for a in argv):
+        assert rc == 2 and "needs --gen" in err.getvalue()
     if rc == 2:
         assert out.getvalue() == ""
         [line] = err.getvalue().splitlines()

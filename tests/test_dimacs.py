@@ -55,6 +55,17 @@ def test_vertex_count_above_sys_maxsize(tmp_path):
         _load(tmp_path, f"c huge\np sp {sys.maxsize + 1} 1\na 1 2 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # The first read "source id 1 out of range [1, 0]", the second blamed the arc.
+    ("p sp 0 0\n", "line 1: vertex count must be >= 1, got 0"),
+    ("p sp -5 1\na 1 2 3\n", "line 1: vertex count must be >= 1, got -5"),
+])
+def test_vertex_count_below_one(tmp_path, text, message):
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, text)
+    assert str(excinfo.value) == message
+
+
 def test_arc_count_mismatch(tmp_path):
     with pytest.raises(DimacsFormatError, match="arc count mismatch"):
         _load(tmp_path, "p sp 2 2\na 1 2 5\n")

@@ -225,6 +225,20 @@ def test_spec_validation():
             GeneratorSpec(**{**planted, field: value})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: worst_case_path(5.0), "n must be an integer, got 5.0"),  # failed inside range()
+    (lambda: worst_case_path(1), "n must be >= 2, got 1"),
+    (lambda: adversarial_ordering(1), "n must be >= 2, got 1"),
+    (lambda: complete_over_path(1), "n must be >= 2, got 1"),
+    (lambda: GeneratorSpec(kind="path-worst-case", n=1), "n must be >= 2, got 1"),
+    (lambda: GeneratorSpec(kind="random-dense", n=0), "n must be >= 1, got 0"),
+])
+def test_generators_refuse_a_vertex_count_they_cannot_build(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("kind", ["path-worst-case", "random-dense"])
 def test_spec_rejects_m_on_a_kind_that_ignores_it(kind):
     with pytest.raises(ValueError, match="takes no m"):

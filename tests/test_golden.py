@@ -83,12 +83,12 @@ CASES.update({
     "verify-negloop": "verify --input negloop.gr",
     "verify-planted-120": f"verify {C4} --n 120 --m 600",
     # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
-    # huge.gr's vertex count is 2^64, above sys.maxsize.  weight-too-many-digits.gr's
-    # one weight and vertex-id-too-many-digits.gr's one head id have 5001 digits,
-    # above the 4300 that int() reads by default.
+    # huge.gr's vertex count is 2^64, above sys.maxsize, and zero-vertices.gr's is 0.
+    # weight-too-many-digits.gr's one weight and vertex-id-too-many-digits.gr's one
+    # head id have 5001 digits, above the 4300 that int() reads by default.
     **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
-       for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "weight-too-many-digits",
-                    "vertex-id-too-many-digits")},
+       for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "zero-vertices",
+                    "weight-too-many-digits", "vertex-id-too-many-digits")},
     "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",
@@ -96,6 +96,10 @@ CASES.update({
                                    " --output q.gr"),
     "run-gen-without-n": "run --gen path-worst-case --algorithm basic",
     "run-gen-flag-the-kind-ignores": f"{P4} --m 40 --cycle-length 3 --algorithm randomized",
+    # A generator flag needs --gen: a file's graph has no generator parameters.
+    "run-input-with-gen-flag": ("run --input loops.gr --n 5 --m 3 --weight-min 2 --cycle-length 3"
+                                " --ensure-reachable --algorithm basic"),
+    "verify-input-with-graph-seed": "verify --input loops.gr --graph-seed 4",
     "run-negative-graph-seed": ("run --gen random-sparse --n 6 --m 10 --graph-seed -3"
                                 " --algorithm randomized"),
     "run-source-with-gen": f"{P4} --source 2 --algorithm basic",
@@ -118,6 +122,7 @@ CASES.update({
     "run-seeds-without-colon": f"{P4} --seeds 3 --algorithm basic",
     "run-seeds-empty": f"{P4} --seeds 5:5 --algorithm basic",
     "run-seeds-reversed": f"{P4} --seeds 7:3 --algorithm basic",
+    "run-seeds-not-integers": f"{P4} --seeds a:b --algorithm basic",
     "run-negative-seed": f"{P4} --seed -1 --algorithm randomized",
     "run-detect-cycles-basic": f"{P4} --algorithm basic --detect-cycles",
     "run-strict-count-adaptive": f"{P4} --algorithm adaptive --strict-count",

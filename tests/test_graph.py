@@ -78,6 +78,48 @@ def test_graph_refuses_an_edge_it_cannot_hold(edge, message):
     assert str(excinfo.value) == message
 
 
+class _Index:
+    """An integer that is no int: ``operator.index`` takes it, as it takes numpy's."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("build, message", [
+    # Most of these used to pass: int() truncated the float or the Fraction and
+    # parsed the string, and the vertex count, the source and the seed were not
+    # converted at all.  The negative ones were refused, some in other words.
+    (lambda: Graph(3, [(1.7, 0, 1)]), "edge (1.7, 0, 1) has an endpoint that is not an integer"),
+    (lambda: Graph(3, [(0, Fraction(3, 2), 1)]),
+     "edge (0, Fraction(3, 2), 1) has an endpoint that is not an integer"),
+    (lambda: Graph(3, [(0, "1", 1)]), "edge (0, '1', 1) has an endpoint that is not an integer"),
+    (lambda: Graph(5.0, ((0, 1, 1),)), "vertex count must be an integer, got 5.0"),
+    (lambda: Graph(3, (), source=1.0), "source must be an integer, got 1.0"),
+    (lambda: Graph(3, (), source=-1), "source must be >= 0, got -1"),
+    (lambda: Graph(-2, ()), "vertex count must be >= 1, got -2"),
+    (lambda: Ordering((0, 1.7, 2)),
+     "rank must be a permutation of 0..n-1; 'float' object cannot be interpreted as an integer"),
+    (lambda: random_ordering(Graph(3, ()), 1.5), "seed must be a non-negative integer, got 1.5"),
+    (lambda: random_ordering(Graph(3, ()), -1), "seed must be a non-negative integer, got -1"),
+    (lambda: random_ordering(Graph(3, ()), True), "seed must be a non-negative integer, got True"),
+])
+def test_graph_ordering_and_seed_refuse_a_value_that_is_no_integer(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_graph_and_ordering_convert_an_integer_that_is_no_int():
+    g = Graph(_Index(3), [(_Index(0), _Index(2), 1)], source=_Index(1))
+    assert (g.n, g.source, g.edges) == (3, 1, ((0, 2, 1),))
+    assert type(g.n) is type(g.source) is int and all(type(x) is int for x in g.edges[0])
+    rank = Ordering((_Index(0), True, _Index(2))).rank
+    assert rank == (0, 1, 2) and all(type(r) is int for r in rank)
+
+
 def test_ordering_must_be_permutation():
     with pytest.raises(ValueError):
         Ordering((0, 0, 1))

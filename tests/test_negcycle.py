@@ -52,6 +52,9 @@ def test_iteration_threshold_values():
         iteration_threshold(1, 1.0)
     with pytest.raises(ValueError):
         iteration_threshold(10, 0.0)
+    # It used to truncate: iteration_threshold(27.5, 1.0) returned 25.
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 27\.5$"):
+        iteration_threshold(27.5, 1.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -0.0, -5.0, math.inf, -math.inf, math.nan])
@@ -172,6 +175,17 @@ def test_dense_budget_formula():
     assert dense_relaxation_budget(n, c) == expected
     with pytest.raises(ValueError):
         dense_relaxation_budget(30, 0.0)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        dense_relaxation_budget(0, 2.0)
+
+
+def test_cap_and_start_refuse_a_vertex_count_that_is_no_index():
+    # Each used to return a bound: 3, 1 and 1.
+    for call, message in [(lambda: iteration_cap(1.5), r"n must be an integer, got 1\.5"),
+                          (lambda: detection_start(1.5, 2.0), r"n must be an integer, got 1\.5"),
+                          (lambda: detection_start(0, 2.0), "n must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_monte_carlo_terminating_run_is_clean():

@@ -46,9 +46,11 @@ def test_tail_threshold_values():
 
 def test_tail_threshold_rejects_bad_args():
     with pytest.raises(ValueError):
-        local_minima_tail_threshold(2, 1.0)
-    with pytest.raises(ValueError):
         local_minima_tail_threshold(10, 0.0)
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
+        local_minima_tail_threshold(2, 1.0)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.0$"):
+        local_minima_tail_threshold(10.0, 1.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, -math.inf, math.nan])
