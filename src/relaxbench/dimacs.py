@@ -48,7 +48,9 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source``, an integer, is the 1-based external id of the source.
 
     Distinct diagnostics: missing problem line, a vertex count that ``Graph``
-    refuses (by its own check), arc-count mismatch, vertex id or weight over
+    refuses, a negative arc count or a source outside [1, n] (all three by
+    ``graph._check_index``, at the problem line, before any arc is read),
+    arc-count mismatch, vertex id or weight over
     ``int()``'s digit limit, vertex id out of range, non-integer weight,
     non-ASCII byte.  Each names its line number and, where the line is at
     fault, the line with surrounding whitespace stripped, or a long token cut
@@ -115,6 +117,8 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
             try:
                 n, m = int(parts[2]), int(parts[3])
                 _check_index(n, f"line {lineno}: vertex count")
+                _check_index(m, f"line {lineno}: arc count", 0)
+                source = _check_index(source, "source id", 1, n)
             except ValueError as exc:  # n is set once both counts parse
                 raise DimacsFormatError(f"line {lineno}: malformed problem line {raw.strip()!r}"
                                         if n is None else str(exc)) from None
@@ -124,9 +128,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
         raise DimacsFormatError("missing problem line")
     if len(edges) != m:
         raise DimacsFormatError(f"arc count mismatch: problem line says {m}, file has {len(edges)}")
-    if not 1 <= source <= n:
-        raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
-    return Graph._from_checked(n, tuple(edges), _check_index(source, "source id") - 1)
+    return Graph._from_checked(n, tuple(edges), source - 1)
 
 
 def write_dimacs(g: Graph, path: Union[str, Path]) -> None:

@@ -13,9 +13,9 @@ on every supported Python version (3.10-3.13).
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
-from .graph import (Edge, Graph, Ordering, _canonical_edge, _check_index, _check_seed,
+from .graph import (Edge, Graph, Ordering, _canonical_weight, _check_index, _check_seed,
                     _checked_make, _shuffle)
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
@@ -49,20 +49,9 @@ def adversarial_ordering(n: int) -> Ordering:
     return Ordering(tuple(rank))
 
 
-class _SpecFields(NamedTuple):
-    # GeneratorSpec's fields; the NamedTuple class itself may not define __new__.
-    kind: str
-    n: int
-    m: Optional[int] = None
-    weight_min: int = -3
-    weight_max: int = 7
-    seed: int = 0
-    ensure_reachable: bool = False
-    cycle_length: Optional[int] = None
-    cycle_weight: Optional[int] = None
-
-
-class GeneratorSpec(_SpecFields):
+class GeneratorSpec(namedtuple("GeneratorSpec", "kind n m weight_min weight_max seed "
+                                "ensure_reachable cycle_length cycle_weight",
+                                defaults=(None, -3, 7, 0, False, None, None))):
     """Parameters for one generated instance; its defaults are the command line's too.
 
     ``n``, ``m``, ``seed``, ``weight_min``, ``weight_max`` and
@@ -70,7 +59,9 @@ class GeneratorSpec(_SpecFields):
     other value raises ``ValueError`` naming the field, so every base edge
     the generators build is an ``(int, int, int)`` tuple.  ``n`` and ``seed``
     pass the checks of ``Graph`` and ``random_ordering`` (path-worst-case
-    needs n >= 2).  ``cycle_weight`` is any weight ``Graph`` takes.  ``m``
+    needs n >= 2).  ``cycle_weight`` is any weight ``Graph`` takes, stored as
+    ``Graph`` converts it (``"-1"`` and ``-1.0`` become -1), or ``ValueError``
+    naming it.  ``m`` is in [0, n(n-1)] and ``cycle_length`` in [1, n].  ``m``
     sizes random-sparse and planted-cycle alone; the dense kind always uses
     every ordered pair.  Only planted-cycle takes the cycle fields; a field
     the kind ignores raises ``ValueError``.  ``ensure_reachable`` adds a
@@ -100,19 +91,18 @@ class GeneratorSpec(_SpecFields):
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
             return self
-        base = self.base_edge_count()
-        if not 0 <= base <= self.n * (self.n - 1):
-            raise ValueError(f"edge count {base} outside [0, n*(n-1)]")
+        base = _check_index(self.base_edge_count(), "m", 0, self.n * (self.n - 1))
         if (self.ensure_reachable or self.kind == "planted-cycle") and base < self.n - 1:
             raise ValueError(f"a reachable instance (ensure_reachable or planted-cycle) needs "
                              f"at least n-1 = {self.n - 1} base edges, got {base}")
         if self.kind == "planted-cycle":
             if self.cycle_length is None or self.cycle_weight is None:
                 raise ValueError("planted-cycle needs cycle_length and cycle_weight")
-            if not 1 <= self.cycle_length <= self.n:
-                raise ValueError("cycle length must be in [1, n]")
-            if self.cycle_weight >= 0:
+            _check_index(self.cycle_length, "cycle_length", 1, self.n)
+            weight = _canonical_weight(self.cycle_weight, "cycle_weight")
+            if weight >= 0:
                 raise ValueError("planted cycle weight must be negative")
+            self = super().__new__(cls, *self[:-1], weight)
         return self
 
     _make = classmethod(_checked_make)
@@ -141,10 +131,9 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     ``ensure_reachable`` a random recursive arborescence of zero-weight edges
     comes first.  The planted-cycle kind appends cycle_length extra edges
     whose weights are 1 except for the closing edge, which makes the total
-    equal cycle_weight.  The spec holds ints, so every base edge is built
-    as the ``(int, int, int)`` tuple ``Graph`` keeps, and the graph is built
-    without ``Graph``'s per-edge check; the cycle's edges, which carry the
-    caller's ``cycle_weight``, are converted and checked as ``Graph`` does.
+    equal cycle_weight.  The spec holds ints and a weight ``Graph`` converted,
+    so every edge is built as the tuple ``Graph`` keeps, and the graph is built
+    without ``Graph``'s per-edge check.
 
     Every uniform draw below k is inlined as CPython's own: ``getrandbits``
     on k's bit width, rejected while >= k (so k = 1 still consumes draws).
@@ -209,8 +198,7 @@ def random_graph(spec: GeneratorSpec) -> Graph:
         for i in range(length):
             a = cycle_vertices[i]
             b = cycle_vertices[(i + 1) % length]
-            w = closing if i == length - 1 else 1
-            edges.append(_canonical_edge((a, b, w), n))
+            edges.append((a, b, closing if i == length - 1 else 1))
 
     return Graph._from_checked(n, tuple(edges), 0)
 

@@ -27,14 +27,16 @@ Weight = Union[int, "Fraction"]
 Edge = Tuple[int, int, Weight]  # (tail, head, weight)
 
 
-def _check_index(value, name: str, least: int = 1) -> int:
-    """A vertex count or a source as an int in [least, sys.maxsize], or ``ValueError`` naming it."""
+def _check_index(value, name: str, least: int = 1, most: int = sys.maxsize) -> int:
+    """A count, a source or a length as an int in [least, most], or ``ValueError`` naming
+    it; below the default ``most``, the message quotes the range."""
     try:
         value = operator.index(value)  # where int() would truncate a float or parse a string
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not least <= value <= sys.maxsize:
-        raise ValueError(f"{name} must be >= {least}, got {value}" if value < least
+    if not least <= value <= most:
+        raise ValueError(f"{name} {value} out of range [{least}, {most}]" if most != sys.maxsize
+                         else f"{name} must be >= {least}, got {value}" if value < least
                          else f"{name} {value} is above sys.maxsize")
     return value
 
@@ -71,9 +73,8 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
     __slots__ = ()
 
     def __new__(cls, n: int, edges: Sequence[Edge], source: int = 0) -> Graph:
-        n, source = _check_index(n, "vertex count"), _check_index(source, "source", 0)
-        if source >= n:
-            raise ValueError(f"source {source} out of range [0, {n})")
+        n = _check_index(n, "vertex count")
+        source = _check_index(source, "source", 0, n - 1)
         canon = []
         for e in edges:
             u, v, w = e
@@ -90,10 +91,9 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
         """The graph as given, unchecked, for a caller that built every edge canonical.
 
         The caller has refused whatever ``Graph(n, edges, source)`` refuses and built
-        what it would keep: ints ``n`` and ``source``, and each edge as an
-        ``(int, int, int)`` tuple or ``_canonical_edge``'s result.  The callers are
-        ``worst_case_path``, ``random_graph`` (whose planted-cycle edges go through
-        ``_canonical_edge``), ``complete_over_path`` and ``load_dimacs``.
+        what it would keep: ints ``n`` and ``source``, and each edge as an ``(int, int,
+        weight)`` tuple whose weight is ``_canonical_weight``'s.  The callers are
+        ``worst_case_path``, ``random_graph``, ``complete_over_path`` and ``load_dimacs``.
         """
         return super().__new__(cls, n, edges, source)
 
@@ -118,11 +118,16 @@ def _canonical_edge(e, n: int) -> Edge:
         raise ValueError(f"edge {e!r} has an endpoint that is not an integer") from None
     if not 0 <= u < n or not 0 <= v < n:
         raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+    return u, v, _canonical_weight(w, f"edge ({u}, {v})")
+
+
+def _canonical_weight(w, what: str) -> Weight:
+    """``w`` converted as ``Graph`` converts a weight, or ``ValueError`` naming ``what``."""
     if isinstance(w, float):
         if not isfinite(w):
-            raise ValueError(f"edge ({u}, {v}) has non-finite weight {w!r}")
+            raise ValueError(f"{what} has non-finite weight {w!r}")
         if not w.is_integer():
-            raise ValueError(f"edge ({u}, {v}) has weight {w!r}, a float that is not an "
+            raise ValueError(f"{what} has weight {w!r}, a float that is not an "
                              "integer; give a Fraction for an exact fractional weight")
     elif not isinstance(w, int):
         from fractions import Fraction  # only such a weight pays for importing it
@@ -130,11 +135,10 @@ def _canonical_edge(e, n: int) -> Edge:
         try:
             w = Fraction(w)
         except (OverflowError, ValueError):
-            raise ValueError(f"edge ({u}, {v}) has weight {w!r}, not a finite rational "
-                             "number") from None
+            raise ValueError(f"{what} has weight {w!r}, not a finite rational number") from None
         if w.denominator != 1:
-            return u, v, w
-    return u, v, int(w)
+            return w
+    return int(w)
 
 
 class Ordering(namedtuple("Ordering", "rank")):

@@ -321,6 +321,12 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                     raise DimacsFormatError(f"line {lineno}: vertex count must be >= 1, got {n}")
                 if n > sys.maxsize:
                     raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
+                if m < 0:
+                    raise DimacsFormatError(f"line {lineno}: arc count must be >= 0, got {m}")
+                if m > sys.maxsize:
+                    raise DimacsFormatError(f"line {lineno}: arc count {m} is above sys.maxsize")
+                if not 1 <= source <= n:
+                    raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
             elif parts[0] == "a":
                 if n is None:
                     raise DimacsFormatError(f"line {lineno}: arc before problem line (missing problem line)")
@@ -348,8 +354,6 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
         raise DimacsFormatError("missing problem line")
     if len(edges) != m:
         raise DimacsFormatError(f"arc count mismatch: problem line says {m}, file has {len(edges)}")
-    if not 1 <= source <= n:
-        raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
     return Graph(n, tuple(edges), source=source - 1)
 
 

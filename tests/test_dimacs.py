@@ -42,6 +42,32 @@ def test_source_flag_is_one_based(tmp_path):
         _load(tmp_path, "p sp 3 1\na 1 2 1\n", source=4)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("1", "source id must be an integer, got '1'"),  # these two raised TypeError
+    (None, "source id must be an integer, got None"),
+    (1.5, "source id must be an integer, got 1.5"),
+    (0, "source id 0 out of range [1, 3]"),
+])
+def test_source_is_checked_at_the_problem_line(tmp_path, source, message):
+    # The source is refused before any arc is read, so ahead of the malformed arc.
+    for text in ("p sp 3 1\na 1 2 1\n", "p sp 3 1\na 1 x 1\n"):
+        with pytest.raises(DimacsFormatError) as excinfo:
+            _load(tmp_path, text, source=source)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # These read "arc count mismatch: problem line says -1, file has 0" and blamed the arc.
+    ("p sp 3 -1\n", "line 1: arc count must be >= 0, got -1"),
+    ("c x\np sp 3 -2\na 1 x 1\n", "line 2: arc count must be >= 0, got -2"),
+    (f"p sp 3 {sys.maxsize + 1}\n", f"line 1: arc count {sys.maxsize + 1} is above sys.maxsize"),
+])
+def test_arc_count_is_checked_at_the_problem_line(tmp_path, text, message):
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, text)
+    assert str(excinfo.value) == message
+
+
 def test_missing_problem_line(tmp_path):
     with pytest.raises(DimacsFormatError, match="missing problem line"):
         _load(tmp_path, "c no header\n")

@@ -321,11 +321,16 @@ def test_generators_build_the_graph_that_graph_would_check():
         assert all(a is b for a, b in zip(g.edges, checked.edges))
 
 
-@pytest.mark.parametrize("cycle_weight, closing", [
-    (-1.0, -3), (Fraction(-3, 2), Fraction(-7, 2)), (-2**70, -2**70 - 2)])
-def test_planted_cycle_weight_is_converted_as_graph_converts_it(cycle_weight, closing):
+@pytest.mark.parametrize("cycle_weight, stored, closing", [
+    (-1.0, -1, -3), ("-1", -1, -3), (Fraction(-3, 2), Fraction(-3, 2), Fraction(-7, 2)),
+    ("-3/2", Fraction(-3, 2), Fraction(-7, 2)), (-2**70, -2**70, -2**70 - 2)])
+def test_planted_cycle_weight_is_converted_as_graph_converts_it(cycle_weight, stored, closing):
+    # The spec stores the weight as Graph converts it; "-1" used to raise TypeError.
     spec = GeneratorSpec(kind="planted-cycle", n=6, m=8, seed=2, cycle_length=3,
                          cycle_weight=cycle_weight)
+    assert type(spec.cycle_weight) is type(stored) and spec.cycle_weight == stored
+    assert spec == spec._replace(cycle_weight=stored)
+    assert spec.label().endswith(f";cycle_weight={stored}")
     g = build_graph(spec)
     assert g == Graph(g.n, g.edges, g.source)
     assert [type(w) for _, _, w in g.edges[-3:]] == [int, int, type(closing)]
@@ -333,13 +338,33 @@ def test_planted_cycle_weight_is_converted_as_graph_converts_it(cycle_weight, cl
 
 
 @pytest.mark.parametrize("cycle_weight, message", [
-    (-1.5, r"has weight -3\.5, a float that is not an integer"),
-    (-math.inf, "has non-finite weight -inf")])
+    (-1.5, "cycle_weight has weight -1.5, a float that is not an integer; "
+           "give a Fraction for an exact fractional weight"),
+    (-math.inf, "cycle_weight has non-finite weight -inf"),
+    (math.nan, "cycle_weight has non-finite weight nan"),
+    ("x", "cycle_weight has weight 'x', not a finite rational number")])
 def test_planted_cycle_refuses_a_weight_graph_refuses(cycle_weight, message):
-    spec = GeneratorSpec(kind="planted-cycle", n=6, m=8, seed=2, cycle_length=3,
-                         cycle_weight=cycle_weight)
-    with pytest.raises(ValueError, match=message):
-        build_graph(spec)
+    # The spec refuses the weight itself; before, build_graph refused the closing
+    # edge's weight (-3.5 for -1.5), and a NaN spec was built.
+    with pytest.raises(ValueError) as excinfo:
+        GeneratorSpec(kind="planted-cycle", n=6, m=8, seed=2, cycle_length=3,
+                      cycle_weight=cycle_weight)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "random-sparse", "n": 3, "m": 7}, "m 7 out of range [0, 6]"),
+    ({"kind": "random-sparse", "n": 3, "m": -1}, "m -1 out of range [0, 6]"),
+    ({"kind": "planted-cycle", "n": 5, "m": 6, "cycle_length": 9, "cycle_weight": -1},
+     "cycle_length 9 out of range [1, 5]"),
+    ({"kind": "planted-cycle", "n": 5, "m": 6, "cycle_length": 0, "cycle_weight": -1},
+     "cycle_length 0 out of range [1, 5]"),
+])
+def test_spec_names_the_field_whose_range_it_refuses(fields, message):
+    # These read "edge count 7 outside [0, n*(n-1)]" and "cycle length must be in [1, n]".
+    with pytest.raises(ValueError) as excinfo:
+        GeneratorSpec(**fields)
+    assert str(excinfo.value) == message
 
 
 def test_complete_over_path_keeps_the_path_tree():

@@ -83,12 +83,13 @@ CASES.update({
     "verify-negloop": "verify --input negloop.gr",
     "verify-planted-120": f"verify {C4} --n 120 --m 600",
     # Exit 2.  A form feed ends no line, so form-feed.gr's arc line has eight fields.
-    # huge.gr's vertex count is 2^64, above sys.maxsize, and zero-vertices.gr's is 0.
+    # huge.gr's vertex count is 2^64, above sys.maxsize, and zero-vertices.gr's is 0;
+    # negative-arc-count.gr's arc count is -1.
     # weight-too-many-digits.gr's one weight and vertex-id-too-many-digits.gr's one
     # head id have 5001 digits, above the 4300 that int() reads by default.
     **{f"run-{name}": f"run --input {name}.gr --algorithm basic"
        for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "zero-vertices",
-                    "weight-too-many-digits", "vertex-id-too-many-digits")},
+                    "negative-arc-count", "weight-too-many-digits", "vertex-id-too-many-digits")},
     "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",

@@ -98,7 +98,7 @@ class _Index:
     (lambda: Graph(3, [(0, "1", 1)]), "edge (0, '1', 1) has an endpoint that is not an integer"),
     (lambda: Graph(5.0, ((0, 1, 1),)), "vertex count must be an integer, got 5.0"),
     (lambda: Graph(3, (), source=1.0), "source must be an integer, got 1.0"),
-    (lambda: Graph(3, (), source=-1), "source must be >= 0, got -1"),
+    (lambda: Graph(3, (), source=-1), "source -1 out of range [0, 2]"),
     (lambda: Graph(-2, ()), "vertex count must be >= 1, got -2"),
     (lambda: Ordering((0, 1.7, 2)),
      "rank must be a permutation of 0..n-1; 'float' object cannot be interpreted as an integer"),

@@ -87,6 +87,30 @@ def test_two_vertex_negative_cycle_found_with_certificate():
     assert verdict.iterations_used == stats.iterations <= iteration_cap(2)
 
 
+# The negative 2-cycle 0 <-> 1 keeps relaxation going to the cap, and 2 <-> 3 is a
+# cycle of weight 0, which is no certificate.
+_TWO_CYCLES = Graph(4, ((0, 1, 1), (1, 0, -3), (0, 2, 1), (2, 3, 1), (3, 2, -1)))
+_PLANTED = random_graph(GeneratorSpec(kind="planted-cycle", n=8, m=12, cycle_length=3,
+                                      cycle_weight=-2))
+
+
+@pytest.mark.parametrize("g, pointer_cycle, message", [
+    (_TWO_CYCLES, [1, 2], r"^predecessor cycle uses the non-edge \(2, 1\); detector state is corrupt$"),
+    (_TWO_CYCLES, [2, 3], r"^predecessor cycle \[3, 2\] has non-negative weight 0; detector "),
+    (_PLANTED, None, "^no predecessor cycle at the iteration cap 6 although relaxation has not "),
+], ids=["non-edge", "non-negative", "no-cycle-at-cap"])
+def test_detection_raises_on_each_defect_of_its_parent_graph(monkeypatch, g, pointer_cycle,
+                                                              message):
+    # The detector checks what the parent graph gives it; a defect there raises
+    # instead of becoming a verdict.
+    calls = []
+    monkeypatch.setattr(negcycle, "detect_cycle_in_parent_graph",
+                        lambda pred: calls.append(list(pred)) or pointer_cycle)
+    with pytest.raises(RuntimeError, match=message):
+        run_with_detection(g, seed=0)
+    assert calls and len(calls[-1]) == g.n
+
+
 def test_clean_run_matches_plain_randomized():
     g = Graph(4, ((0, 1, 2.0), (1, 2, -1.0), (2, 3, 3.0), (0, 3, 9.0)))
     for seed in range(10):

@@ -1,10 +1,11 @@
-"""The study scripts' stdout against committed golden files, and their refusals.
+"""The study scripts' stdout against committed golden files and the README, and their refusals.
 
-Each golden file holds one study's stdout at the sizes below.  A change to a
-counter the study reads, to the record field it reads, or to its table
-changes the diff.
+Each golden file holds one study's stdout at the sizes below, and the README
+quotes each study's stdout at its default sizes.  A change to a counter the
+study reads, to the record field it reads, or to its table changes the diff.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -30,6 +31,17 @@ def test_study_stdout_equals_the_golden_file(study, monkeypatch, capsys):
     _run(study, SIZES[study], monkeypatch)
     golden = ROOT / "tests" / "golden" / f"{study}.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+# Each README block that runs a study with no arguments, and the stdout it quotes.
+README_QUOTES = dict(re.findall(r"(?m)^```sh\n\$ python scripts/(\w+)\.py\n(.*?)^```$",
+                                (ROOT / "README.md").read_text(encoding="utf-8"), re.DOTALL))
+
+
+@pytest.mark.parametrize("study", SIZES)
+def test_study_stdout_at_its_default_sizes_equals_the_readme(study, monkeypatch, capsys):
+    _run(study, [], monkeypatch)
+    assert capsys.readouterr().out == README_QUOTES[study]
 
 
 @pytest.mark.parametrize("study, args", [
