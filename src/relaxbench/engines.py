@@ -298,8 +298,8 @@ def yen_iterations(g: Graph, ordering: Ordering,
     rank, by_rank = ordering.rank, ordering.by_rank
     # The descending pass keys vertex v by n-1-rank[v], so both passes visit
     # their smallest key first.
-    up_key = [rank[v] if up_adj[v] else None for v in range(n)]
-    down_key = [n - 1 - rank[v] if down_adj[v] else None for v in range(n)]
+    up_key = [r if a else None for r, a in zip(rank, up_adj)]
+    down_key = [n - 1 - r if a else None for r, a in zip(rank, down_adj)]
     passes = ((up_key, up_key, by_rank, up_adj),
               (down_key, down_key, by_rank[::-1], down_adj))
 

@@ -134,7 +134,7 @@ def _canonical_weight(w, what: str) -> Weight:
 
         try:
             w = Fraction(w)
-        except (OverflowError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise ValueError(f"{what} has weight {w!r}, not a finite rational number") from None
         if w.denominator != 1:
             return w
@@ -146,6 +146,7 @@ class Ordering(namedtuple("Ordering", "rank")):
 
     Ranks pass ``operator.index``, so a float raises ``ValueError``; a graph's orderings put its
     source at rank 0 (checked by :meth:`validate_for`, which every consumer calls on entry).
+    ``random_ordering`` skips the permutation check (``_from_checked``).
     """
 
     __slots__ = ()
@@ -162,6 +163,12 @@ class Ordering(namedtuple("Ordering", "rank")):
         return super().__new__(cls, rank)
 
     _make = classmethod(_checked_make)
+
+    @classmethod
+    def _from_checked(cls, rank: Tuple[int, ...]) -> Ordering:
+        """The ordering as given, unchecked, for a caller that built ``rank`` as a tuple of
+        ints that is a permutation of 0..n-1.  The caller is ``random_ordering``."""
+        return super().__new__(cls, rank)
 
     @property
     def n(self) -> int:
@@ -236,13 +243,21 @@ def identity_ordering(g: Graph) -> Ordering:
 
 
 def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
-    """Fisher-Yates in place, drawing from ``getrandbits`` as ``Random.shuffle`` does."""
-    for i in range(len(items) - 1, 0, -1):
+    """Fisher-Yates in place, drawing from ``getrandbits`` as ``Random.shuffle`` does.
+
+    Position i draws ``(i + 1).bit_length()`` bits, a width that changes only
+    at powers of two, so the positions run in one block per width.
+    """
+    i = len(items) - 1
+    while i > 0:
         bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
+        stop = (1 << (bits - 1)) - 2  # the highest position that draws one bit fewer
+        for i in range(i, stop, -1):
             j = getrandbits(bits)
-        items[i], items[j] = items[j], items[i]
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        i = stop
 
 
 def random_ordering(g: Graph, seed: int) -> Ordering:
@@ -256,9 +271,10 @@ def random_ordering(g: Graph, seed: int) -> Ordering:
     seed.  A seed that is not a non-negative ``int`` raises ``ValueError``.
     """
     _check_seed(seed)
-    others = [v for v in range(g.n) if v != g.source]
+    n, s = g.n, g.source
+    others = [*range(s), *range(s + 1, n)]
     _shuffle(others, random.Random(seed).getrandbits)
-    rank = [0] * g.n
+    rank = [0] * n
     for pos, v in enumerate(others, start=1):
         rank[v] = pos
-    return Ordering(tuple(rank))
+    return Ordering._from_checked(tuple(rank))

@@ -367,6 +367,17 @@ def reference_dimacs_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_shuffle(items: list, getrandbits) -> None:
+    """Reference Fisher-Yates: one position at a time, each drawing ``(i + 1).bit_length()``
+    bits and rejecting a draw above i, as ``Random.shuffle`` does."""
+    for i in range(len(items) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
 def reference_random_graph(spec) -> Graph:
     """Reference generator: ``random_graph`` as written with ``Random``'s convenience calls.
 

@@ -342,7 +342,8 @@ def test_planted_cycle_weight_is_converted_as_graph_converts_it(cycle_weight, st
            "give a Fraction for an exact fractional weight"),
     (-math.inf, "cycle_weight has non-finite weight -inf"),
     (math.nan, "cycle_weight has non-finite weight nan"),
-    ("x", "cycle_weight has weight 'x', not a finite rational number")])
+    ("x", "cycle_weight has weight 'x', not a finite rational number"),
+    ([1], "cycle_weight has weight [1], not a finite rational number")])
 def test_planted_cycle_refuses_a_weight_graph_refuses(cycle_weight, message):
     # The spec refuses the weight itself; before, build_graph refused the closing
     # edge's weight (-3.5 for -1.5), and a NaN spec was built.

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import sys
 from collections import Counter, deque
 from fractions import Fraction
@@ -16,8 +17,9 @@ from relaxbench import (
     random_ordering,
     worst_case_path,
 )
+from relaxbench.graph import _shuffle
 
-from helpers import all_orderings, graphs, orderings_for
+from helpers import all_orderings, graphs, orderings_for, reference_shuffle
 
 
 def test_graph_validation():
@@ -71,6 +73,9 @@ def test_graph_keeps_canonical_edges_and_converts_the_rest():
     ((True, 2, 1), "edge (1, 2) has an endpoint outside [0, 2)"),
     ((0, math.nan, 1.0), "edge (0, nan, 1.0) has an endpoint that is not an integer"),
     ((1, 0, "nan"), "edge (1, 0) has weight 'nan', not a finite rational number"),
+    # Fraction() refuses these by type; that TypeError used to escape.
+    ((0, 1, None), "edge (0, 1) has weight None, not a finite rational number"),
+    ((1, 0, 1 + 2j), "edge (1, 0) has weight (1+2j), not a finite rational number"),
 ])
 def test_graph_refuses_an_edge_it_cannot_hold(edge, message):
     with pytest.raises(ValueError) as excinfo:
@@ -257,6 +262,43 @@ def test_random_ordering_golden_value_at_scale():
     # every bit width up to 11.
     ranks = [random_ordering(worst_case_path(2000), seed).rank for seed in range(3)]
     assert hashlib.sha256(repr(ranks).encode()).hexdigest()[:16] == "ec3a66e57ba8ec84"
+
+
+def test_random_ordering_golden_value_off_source():
+    # A source other than 0 changes which vertices the shuffle permutes, which
+    # the source-0 pins above never reach.
+    assert random_ordering(Graph(7, (), source=3), 987654321).rank == (1, 6, 2, 0, 5, 4, 3)
+    assert random_ordering(Graph(7, (), source=6), 42).rank == (5, 2, 3, 1, 4, 6, 0)
+    ranks = [random_ordering(Graph(2000, (), source=1999), 0).rank,
+             random_ordering(Graph(2000, (), source=1000), 1).rank]
+    assert hashlib.sha256(repr(ranks).encode()).hexdigest()[:16] == "2ef5766655327a84"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffle_draws_as_the_one_position_at_a_time_reference(seed):
+    # Same permutation and same generator state after it: random_graph keeps
+    # drawing from the generator it shuffled with.
+    for n in [*range(301), 1999, 2000, 4097]:
+        got, want = list(range(n)), list(range(n))
+        rng, ref = random.Random(seed), random.Random(seed)
+        _shuffle(got, rng.getrandbits)
+        reference_shuffle(want, ref.getrandbits)
+        assert got == want, n
+        assert rng.getstate() == ref.getstate(), n
+
+
+def test_random_ordering_equals_its_checked_construction():
+    for n in range(1, 9):
+        for source in range(n):
+            g = Graph(n, (), source=source)
+            for seed in range(6):
+                ordering = random_ordering(g, seed)
+                assert ordering == Ordering(ordering.rank)
+                assert all(type(r) is int for r in ordering.rank)
+    # The public constructor keeps its check (test_ordering_must_be_permutation),
+    # and so does _replace on an ordering built unchecked.
+    with pytest.raises(ValueError, match="permutation"):
+        random_ordering(Graph(3, ()), 0)._replace(rank=(0, 0, 1))
 
 
 def test_random_ordering_rejects_negative_seed():
