@@ -48,7 +48,8 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     """Parse a .gr file; ``source``, an integer, is the 1-based external id of the source.
 
     Distinct diagnostics: missing problem line, a vertex count that ``Graph``
-    refuses, a negative arc count or a source outside [1, n] (all three by
+    refuses, an arc count that is negative or above ``graph.MAX_COUNT``, or a
+    source outside [1, n] (all three by
     ``graph._check_index``, at the problem line, before any arc is read),
     arc-count mismatch, vertex id or weight over
     ``int()``'s digit limit, vertex id out of range, non-integer weight,

@@ -291,15 +291,12 @@ def yen_iterations(g: Graph, ordering: Ordering,
     The relaxation sequence, and therefore ``dist``, ``pred`` and every
     counter, is that of a rank-order scan applying the rule.
     """
-    up_adj, down_adj = rank_adjacency(g, ordering)
+    # The descending pass keys vertex v by n-1-rank[v], so both passes visit
+    # their smallest key first; a vertex with no edges in a pass has no key there.
+    up_adj, down_adj, up_key, down_key = rank_adjacency(g, ordering)
     if state is None:
         state = SsspState(g)
-    n = g.n
-    rank, by_rank = ordering.rank, ordering.by_rank
-    # The descending pass keys vertex v by n-1-rank[v], so both passes visit
-    # their smallest key first.
-    up_key = [r if a else None for r, a in zip(rank, up_adj)]
-    down_key = [n - 1 - r if a else None for r, a in zip(rank, down_adj)]
+    by_rank = ordering.by_rank
     passes = ((up_key, up_key, by_rank, up_adj),
               (down_key, down_key, by_rank[::-1], down_adj))
 

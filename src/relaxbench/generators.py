@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .graph import (Edge, Graph, Ordering, _canonical_weight, _check_index, _check_seed,
-                    _checked_make, _shuffle)
+from .graph import (MAX_COUNT, Edge, Graph, Ordering, _canonical_weight, _check_index,
+                    _check_seed, _checked_make, _shuffle)
 
 KINDS = ("path-worst-case", "random-sparse", "random-dense", "planted-cycle")
 
@@ -61,9 +61,10 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind n m weight_min weight_max 
     pass the checks of ``Graph`` and ``random_ordering`` (path-worst-case
     needs n >= 2).  ``cycle_weight`` is any weight ``Graph`` takes, stored as
     ``Graph`` converts it (``"-1"`` and ``-1.0`` become -1), or ``ValueError``
-    naming it.  ``m`` is in [0, n(n-1)] and ``cycle_length`` in [1, n].  ``m``
-    sizes random-sparse and planted-cycle alone; the dense kind always uses
-    every ordered pair.  Only planted-cycle takes the cycle fields; a field
+    naming it.  ``m`` is in [0, n(n-1)] and ``cycle_length`` in [1, n], and
+    neither ``n`` nor the base edge count may exceed ``graph.MAX_COUNT``.
+    ``m`` sizes random-sparse and planted-cycle alone; the dense kind always
+    uses every ordered pair.  Only planted-cycle takes the cycle fields; a field
     the kind ignores raises ``ValueError``.  ``ensure_reachable`` adds a
     zero-weight spanning arborescence before the random edges, so it needs
     m >= n-1.  Planted-cycle instances always get one, so they need m >= n-1
@@ -91,7 +92,8 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind n m weight_min weight_max 
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
             return self
-        base = _check_index(self.base_edge_count(), "m", 0, self.n * (self.n - 1))
+        most = min(self.n * (self.n - 1), MAX_COUNT)
+        base = _check_index(self.base_edge_count(), "m", 0, most)
         if (self.ensure_reachable or self.kind == "planted-cycle") and base < self.n - 1:
             raise ValueError(f"a reachable instance (ensure_reachable or planted-cycle) needs "
                              f"at least n-1 = {self.n - 1} base edges, got {base}")
@@ -216,9 +218,11 @@ def complete_over_path(n: int) -> Graph:
     Path edges i -> i+1 keep weight 1; every other ordered pair gets weight n,
     more than the longest path distance, so the shortest-path tree is still
     the single path while the instance is fully dense.  ``n`` is an int, so
-    the graph is built without ``Graph``'s per-edge check.
+    the graph is built without ``Graph``'s per-edge check; its n(n-1) edges
+    may not exceed ``graph.MAX_COUNT``.
     """
     n = _check_index(n, "n", 2)
+    _check_index(n * (n - 1), "edge count n(n-1)", 0)
     edges = []
     for u in range(n):
         for v in range(n):

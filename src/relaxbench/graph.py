@@ -3,7 +3,8 @@
 A graph is a flat edge list over dense integer vertex ids 0..n-1 with a
 designated source.  An Ordering assigns every vertex a rank, with the source
 pinned at rank 0.  ``rank_adjacency`` splits each tail's edges into the
-rank-ascending and rank-descending subgraphs (both acyclic by construction);
+rank-ascending and rank-descending subgraphs (both acyclic by construction)
+and keys each tail for the Yen pass over each, in one sweep over the edges;
 ``partition_edges`` flattens that split and puts the self-loops, which no Yen
 pass relaxes, in a third bucket.  The cycle detectors find negative self-loops
 by scanning ``Graph.edges`` themselves.
@@ -17,7 +18,7 @@ import sys
 from collections import namedtuple
 from itertools import chain
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -27,7 +28,13 @@ Weight = Union[int, "Fraction"]
 Edge = Tuple[int, int, Weight]  # (tail, head, weight)
 
 
-def _check_index(value, name: str, least: int = 1, most: int = sys.maxsize) -> int:
+# The largest vertex count, arc count or generated edge count accepted, so that
+# a graph is refused before anything is allocated per vertex or per edge.  A
+# constant, not read from the host, so a count is refused the same everywhere.
+MAX_COUNT = 10**7
+
+
+def _check_index(value, name: str, least: int = 1, most: int = MAX_COUNT) -> int:
     """A count, a source or a length as an int in [least, most], or ``ValueError`` naming
     it; below the default ``most``, the message quotes the range."""
     try:
@@ -35,9 +42,10 @@ def _check_index(value, name: str, least: int = 1, most: int = sys.maxsize) -> i
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not least <= value <= most:
-        raise ValueError(f"{name} {value} out of range [{least}, {most}]" if most != sys.maxsize
+        raise ValueError(f"{name} {value} out of range [{least}, {most}]" if most != MAX_COUNT
                          else f"{name} must be >= {least}, got {value}" if value < least
-                         else f"{name} {value} is above sys.maxsize")
+                         else f"{name} {value} is above sys.maxsize" if value > sys.maxsize
+                         else f"{name} {value} is above MAX_COUNT = {MAX_COUNT}")
     return value
 
 
@@ -57,7 +65,8 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
 
     The vertex count, the source and the endpoints are integers, converted
     by ``operator.index``: a float, a ``Fraction`` or a string among them
-    raises ``ValueError`` naming it.  Parallel edges and self-loops are
+    raises ``ValueError`` naming it, and so does a vertex count above
+    ``MAX_COUNT``.  Parallel edges and self-loops are
     allowed.  Weights are exact, so every sum and comparison of distances
     is: an integral weight of any type becomes an ``int``, and any other a
     ``Fraction`` as ``Fraction()`` converts it (a decimal string included).
@@ -203,24 +212,37 @@ class EdgePartition(NamedTuple):
     loops: Tuple[Edge, ...]
 
 
-def rank_adjacency(g: Graph, ordering: Ordering) -> tuple[list[list[Edge]], list[list[Edge]]]:
-    """Split g's out-edges by rank direction: (up, down), per tail, in input order.
+def rank_adjacency(g: Graph, ordering: Ordering) -> tuple[list[list[Edge]], list[list[Edge]],
+                                                          list[Optional[int]], list[Optional[int]]]:
+    """Split g's out-edges by rank direction: (up, down, up_key, down_key), per tail.
 
     ``up[u]`` holds u's edges to higher-ranked heads and ``down[u]`` those to
-    lower-ranked ones, the graph's own tuples; self-loops are in neither.
+    lower-ranked ones, the graph's own tuples in input order; self-loops are
+    in neither.  A Yen pass takes tails by key: ``up_key[u]`` is ``rank[u]``
+    and ``down_key[u]`` is ``n - 1 - rank[u]``, each set in the same sweep as
+    its list is first filled, and None while that list is empty.
     """
     ordering.validate_for(g)
     rank = ordering.rank
-    up: list[list[Edge]] = [[] for _ in range(g.n)]
-    down: list[list[Edge]] = [[] for _ in range(g.n)]
+    n = g.n
+    up: list[list[Edge]] = [[] for _ in range(n)]
+    down: list[list[Edge]] = [[] for _ in range(n)]
+    up_key: list[Optional[int]] = [None] * n
+    down_key: list[Optional[int]] = [None] * n
     for e in g.edges:
         u, v, _ = e
         ru, rv = rank[u], rank[v]
         if ru < rv:
-            up[u].append(e)
+            out = up[u]
+            if not out:
+                up_key[u] = ru
+            out.append(e)
         elif ru > rv:
-            down[u].append(e)
-    return up, down
+            out = down[u]
+            if not out:
+                down_key[u] = n - 1 - ru
+            out.append(e)
+    return up, down, up_key, down_key
 
 
 def partition_edges(g: Graph, ordering: Ordering) -> EdgePartition:
@@ -229,7 +251,7 @@ def partition_edges(g: Graph, ordering: Ordering) -> EdgePartition:
     Every edge lands in exactly one bucket: ascending rank in ``plus``,
     descending rank in ``minus``, and self-loops in ``loops``.
     """
-    up, down = rank_adjacency(g, ordering)
+    up, down, _, _ = rank_adjacency(g, ordering)
     by_rank = ordering.by_rank
     return EdgePartition(tuple(chain.from_iterable(map(up.__getitem__, by_rank))),
                          tuple(chain.from_iterable(map(down.__getitem__, reversed(by_rank)))),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from relaxbench import Graph, Ordering, SsspState, engines, floyd_warshall
 from relaxbench.dimacs import DimacsFormatError
-from relaxbench.graph import rank_adjacency
+from relaxbench.graph import MAX_COUNT, rank_adjacency
 
 
 def relax(state: SsspState, u: int, v: int, w) -> bool:
@@ -80,7 +80,7 @@ def guard_scan_yen_iterations(g: Graph, ordering: Ordering, state=None):
     """
     if state is None:
         state = SsspState(g)
-    up_adj, down_adj = rank_adjacency(g, ordering)
+    up_adj, down_adj, _, _ = rank_adjacency(g, ordering)
     order = ordering.by_rank
     passes = (([u for u in order if up_adj[u]], up_adj),
               ([u for u in reversed(order) if down_adj[u]], down_adj))
@@ -321,10 +321,14 @@ def reference_load_dimacs(path, source: int = 1) -> Graph:
                     raise DimacsFormatError(f"line {lineno}: vertex count must be >= 1, got {n}")
                 if n > sys.maxsize:
                     raise DimacsFormatError(f"line {lineno}: vertex count {n} is above sys.maxsize")
+                if n > MAX_COUNT:
+                    raise DimacsFormatError(f"line {lineno}: vertex count {n} is above MAX_COUNT = {MAX_COUNT}")
                 if m < 0:
                     raise DimacsFormatError(f"line {lineno}: arc count must be >= 0, got {m}")
                 if m > sys.maxsize:
                     raise DimacsFormatError(f"line {lineno}: arc count {m} is above sys.maxsize")
+                if m > MAX_COUNT:
+                    raise DimacsFormatError(f"line {lineno}: arc count {m} is above MAX_COUNT = {MAX_COUNT}")
                 if not 1 <= source <= n:
                     raise DimacsFormatError(f"source id {source} out of range [1, {n}]")
             elif parts[0] == "a":

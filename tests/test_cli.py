@@ -30,6 +30,7 @@ from relaxbench.cli import (
 )
 from relaxbench.dimacs import write_dimacs
 from relaxbench.generators import KINDS
+from relaxbench.graph import MAX_COUNT
 
 
 def _record(**overrides):
@@ -463,10 +464,10 @@ def test_run_trials_reports_a_killed_worker(monkeypatch, two_cpus):
 # The exit-code contract over hostile input.  Every graph has at most 8
 # vertices and every seed range at most 4 seeds, so seeds * m stays far below
 # PARALLEL_MIN_EDGE_TRIALS and no batch forks.  Every huge value is negative or
-# above sys.maxsize, so a vertex count drawn from them is refused before any
-# per-vertex allocation.
+# above graph.MAX_COUNT, the first just above it, so a vertex or arc count drawn
+# from them is refused before any per-vertex allocation.
 _MUTANTS = ("nan", "inf", "-inf", "1e3", "0x10", "1.5", "-1", "0", "é")
-_HUGE = (str(2**64), str(2**1100), str(-2**1100))
+_HUGE = (str(MAX_COUNT + 1), str(10**10), str(2**64), str(2**1100), str(-2**1100))
 _INTS = st.sampled_from(("-3", "-1", "0", "1", "2", "5") + _HUGE)
 _GEN_FLAGS = {
     "--n": st.sampled_from(("-1", "0", "1", "2", "5", "8") + _HUGE),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from relaxbench import GeneratorSpec, Graph, random_graph, worst_case_path
 from relaxbench.cli import main
 from relaxbench.dimacs import DimacsFormatError, load_dimacs, write_dimacs
+from relaxbench.graph import MAX_COUNT
 
 from helpers import reference_dimacs_text, reference_load_dimacs
 
@@ -61,6 +62,7 @@ def test_source_is_checked_at_the_problem_line(tmp_path, source, message):
     ("p sp 3 -1\n", "line 1: arc count must be >= 0, got -1"),
     ("c x\np sp 3 -2\na 1 x 1\n", "line 2: arc count must be >= 0, got -2"),
     (f"p sp 3 {sys.maxsize + 1}\n", f"line 1: arc count {sys.maxsize + 1} is above sys.maxsize"),
+    (f"p sp 3 {MAX_COUNT + 1}\n", f"line 1: arc count {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}"),
 ])
 def test_arc_count_is_checked_at_the_problem_line(tmp_path, text, message):
     with pytest.raises(DimacsFormatError) as excinfo:
@@ -79,6 +81,13 @@ def test_vertex_count_above_sys_maxsize(tmp_path):
     # No list can index such a graph's vertices; it used to load.
     with pytest.raises(DimacsFormatError, match=r"^line 2: vertex count \d+ is above sys.maxsize$"):
         _load(tmp_path, f"c huge\np sp {sys.maxsize + 1} 1\na 1 2 3\n")
+
+
+def test_vertex_count_above_max_count(tmp_path):
+    # Refused at the problem line, before a vertex or an arc is built.
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, f"p sp {MAX_COUNT + 1} 1\na 1 2 3\n")
+    assert str(excinfo.value) == f"line 1: vertex count {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -218,7 +227,7 @@ def test_round_trip_path_graph(tmp_path):
 # break it in one way the reader must name.
 _SEPARATORS = (" ", "  ", "\t", " \x0b ", "\x0c", "\x1c", "\x1e", "\x1f")
 _BAD_TOKENS = ("+3", "-0", "1.5", "1e3", "0x10", "1_0", "nan", "inf", "--1", "7a",
-               str(10**400), str(-10**400), "1" * 5000)
+               str(10**400), str(-10**400), "1" * 5000, str(MAX_COUNT + 1))
 _JUNK_LINES = ("c", "c comment", "cfoo 1 2", "  c  indented", "", "   ", "\t", "\x0c", "\x0b",
                "x 1 2", "ab 1 2 3", "pp sp 1 1", "p sp 2 1", "p sp x 2", "p xx 2 1", "p sp 2",
                "a 1 2", "a 1 2 3 4", "a", "p", "\x1d", "a\x0c1 2 3")
@@ -325,7 +334,8 @@ def test_load_builds_the_graph_that_graph_would_check():
     assert loaded == 9
 
 
-_ID = st.one_of(st.integers(-1, 6), st.sampled_from((sys.maxsize, sys.maxsize + 1, 2**64)))
+_ID = st.one_of(st.integers(-1, 6),
+                st.sampled_from((MAX_COUNT + 1, sys.maxsize, sys.maxsize + 1, 2**64)))
 
 
 @given(n=_ID, arcs=st.lists(st.tuples(_ID, _ID, st.one_of(
@@ -370,8 +380,10 @@ def test_write_matches_int_formatting(tmp_path_factory, weights):
 
 @st.composite
 def _wide_graphs(draw):
-    """Graphs whose ids have up to 13 digits, with parallel edges and self-loops."""
-    n = draw(st.integers(1, 10**12))
+    """Graphs whose ids have up to 8 digits, the most a vertex count within
+    ``MAX_COUNT`` allows, with parallel edges and self-loops; none holds a
+    per-vertex table."""
+    n = draw(st.integers(1, MAX_COUNT))
     vertex = st.integers(0, n - 1) | st.sampled_from((0, n - 1))
     tails = draw(st.lists(vertex, min_size=1, max_size=4))
     edges = draw(st.lists(st.tuples(st.sampled_from(tails), vertex | st.sampled_from(tails),

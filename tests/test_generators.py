@@ -23,6 +23,7 @@ from relaxbench import (
     worst_case_path,
 )
 from relaxbench.generators import KINDS
+from relaxbench.graph import MAX_COUNT
 
 from helpers import (
     all_orderings,
@@ -215,6 +216,16 @@ def test_spec_validation():
         GeneratorSpec(kind="random-sparse", n=4).base_edge_count()  # no m
     with pytest.raises(ValueError, match="above sys.maxsize"):
         GeneratorSpec(kind="random-dense", n=sys.maxsize + 1)
+    # Both counts are bounded before anything is drawn: n itself, and the
+    # dense kind's n(n-1) = 10,001,406 edges at n = 3163.
+    with pytest.raises(ValueError, match=f"^n {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}$"):
+        GeneratorSpec(kind="random-sparse", n=MAX_COUNT + 1, m=1)
+    with pytest.raises(ValueError, match=f"^m 10001406 is above MAX_COUNT = {MAX_COUNT}$"):
+        GeneratorSpec(kind="random-dense", n=3163)
+    with pytest.raises(ValueError, match=f"^edge count n\\(n-1\\) 10001406 is above MAX_COUNT"):
+        complete_over_path(3163)
+    with pytest.raises(ValueError, match=f"^n {MAX_COUNT + 1} is above MAX_COUNT"):
+        worst_case_path(MAX_COUNT + 1)
     # Each of these failed inside build_graph (AttributeError, TypeError), or
     # for seed=1.5 built a graph labelled seed=1.5.
     planted = dict(kind="planted-cycle", n=5, m=6, cycle_length=3, cycle_weight=-1)

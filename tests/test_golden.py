@@ -24,6 +24,7 @@ from pathlib import Path
 
 from relaxbench import worst_case_path
 from relaxbench.cli import ALGORITHMS, TrialConfig, TrialRecord, _process_count, main
+from relaxbench.graph import MAX_COUNT
 
 CORPUS, INPUTS = (Path(__file__).resolve().parent / "golden" / d for d in ("cli", "inputs"))
 
@@ -91,6 +92,8 @@ CASES.update({
        for name in ("form-feed", "arc-count-mismatch", "missing", "huge", "zero-vertices",
                     "negative-arc-count", "weight-too-many-digits", "vertex-id-too-many-digits")},
     "run-huge-n": f"run --gen path-worst-case --n={2**64} --algorithm basic",
+    # One vertex more than graph.MAX_COUNT, refused before any vertex is built.
+    "run-n-above-max-count": f"run --gen path-worst-case --n={MAX_COUNT + 1} --algorithm basic",
     "run-no-graph-source": "run --algorithm basic",
     "run-two-graph-sources": f"{P4} --input loops.gr --algorithm basic",
     "generate-two-graph-sources": ("generate --input loops.gr --gen path-worst-case --n 4"

@@ -17,7 +17,7 @@ from relaxbench import (
     random_ordering,
     worst_case_path,
 )
-from relaxbench.graph import _shuffle
+from relaxbench.graph import MAX_COUNT, _shuffle, rank_adjacency
 
 from helpers import all_orderings, graphs, orderings_for, reference_shuffle
 
@@ -35,6 +35,8 @@ def test_graph_validation():
         Graph(2, (), source=2)
     with pytest.raises(ValueError, match="above sys.maxsize"):
         Graph(sys.maxsize + 1, ())
+    with pytest.raises(ValueError, match=f"^vertex count {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}$"):
+        Graph(MAX_COUNT + 1, ())
 
 
 def test_graph_rejects_an_endpoint_int_cannot_convert():
@@ -231,6 +233,31 @@ def test_partition_exhaustive_small():
             rank = ordering.rank
             assert all(rank[u] < rank[v] for u, v, _ in part.plus)
             assert all(rank[u] > rank[v] for u, v, _ in part.minus)
+
+
+def test_rank_adjacency_matches_a_split_written_out_edge_by_edge():
+    # Random multigraphs with self-loops, parallel edges and isolated vertices,
+    # from a source other than 0.
+    rng = random.Random(5)
+    for trial in range(300):
+        n = rng.randint(2, 12)
+        active = rng.sample(range(n), rng.randint(1, n - 1))  # the others have no edge
+        edges = [(rng.choice(active), rng.choice(active), rng.randint(-5, 5))
+                 for _ in range(rng.randint(0, 3 * n))]
+        edges += [(u, u, 1) for u in rng.sample(active, 1)]
+        edges += rng.sample(edges, min(3, len(edges)))
+        rng.shuffle(edges)
+        g = Graph(n, edges, source=rng.randrange(1, n))
+        rank = random_ordering(g, trial).rank
+        up, down, up_key, down_key = rank_adjacency(g, Ordering(rank))
+        assert len(up) == len(down) == len(up_key) == len(down_key) == n
+        for u in range(n):
+            want_up = [e for e in g.edges if e[0] == u and rank[e[1]] > rank[u]]
+            want_down = [e for e in g.edges if e[0] == u and rank[e[1]] < rank[u]]
+            assert up[u] == want_up and down[u] == want_down
+            assert all(a is b for a, b in zip(up[u] + down[u], want_up + want_down))
+            assert up_key[u] == rank[u] if want_up else up_key[u] is None
+            assert down_key[u] == n - 1 - rank[u] if want_down else down_key[u] is None
 
 
 def test_random_ordering_trivial_sizes():

@@ -23,6 +23,7 @@ from relaxbench import (
     run_with_detection,
     yen_iterations,
 )
+from relaxbench.graph import MAX_COUNT
 
 from helpers import (graphs, guard_scan_yen_iterations, mixed_weights, record_shifts,
                      shortest_simple_path_lengths)
@@ -209,6 +210,16 @@ def test_cap_and_start_refuse_a_vertex_count_that_is_no_index():
                           (lambda: detection_start(1.5, 2.0), r"n must be an integer, got 1\.5"),
                           (lambda: detection_start(0, 2.0), "n must be >= 1, got 0")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_bounds_refuse_a_vertex_count_above_max_count():
+    message = f"^n {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}$"
+    for call in (lambda: iteration_cap(MAX_COUNT + 1),
+                 lambda: iteration_threshold(MAX_COUNT + 1, 2.0),
+                 lambda: detection_start(MAX_COUNT + 1, 2.0),
+                 lambda: dense_relaxation_budget(MAX_COUNT + 1, 2.0)):
+        with pytest.raises(ValueError, match=message):
             call()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxbench import count_local_minima, local_minima_tail_threshold
+from relaxbench.graph import MAX_COUNT
 
 from helpers import local_minima_law
 
@@ -51,6 +52,8 @@ def test_tail_threshold_rejects_bad_args():
         local_minima_tail_threshold(2, 1.0)
     with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.0$"):
         local_minima_tail_threshold(10.0, 1.0)
+    with pytest.raises(ValueError, match=f"^n {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}$"):
+        local_minima_tail_threshold(MAX_COUNT + 1, 1.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, -math.inf, math.nan])
