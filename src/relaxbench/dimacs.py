@@ -80,6 +80,7 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
     append = edges.append
     ids: dict[str, int] = {}  # vertex token -> its 0-based id, parsed and in range
     known = ids.get
+    shared = {}.setdefault  # 0-based id -> the one int object that every arc holds for it
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -105,8 +106,9 @@ def load_dimacs(path: Union[str, Path], source: int = 1) -> Graph:
             if new:
                 if not 1 <= u <= n or not 1 <= v <= n:
                     raise DimacsFormatError(f"line {lineno}: vertex id out of range in {raw.strip()!r}")
-                u = ids[parts[1]] = u - 1
-                v = ids[parts[2]] = v - 1
+                u, v = u - 1, v - 1
+                u = ids[parts[1]] = shared(u, u)
+                v = ids[parts[2]] = shared(v, v)
             append((u, v, w))
         elif tag[0] == "c":
             continue

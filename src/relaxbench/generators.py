@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import repeat
 
 from .graph import (MAX_COUNT, Edge, Graph, Ordering, _canonical_weight, _check_index,
                     _check_seed, _checked_make, _shuffle)
@@ -28,7 +29,8 @@ def worst_case_path(n: int) -> Graph:
     that maximizes the expected iteration count of the randomized engine.
     """
     n = _check_index(n, "n", 2)
-    return Graph._from_checked(n, tuple((i, i + 1, 1) for i in range(n - 1)), 0)
+    ids = list(range(n))
+    return Graph._from_checked(n, tuple(zip(ids, ids[1:], repeat(1))), 0)
 
 
 def adversarial_ordering(n: int) -> Ordering:
@@ -92,8 +94,8 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind n m weight_min weight_max 
             raise ValueError(f"cycle_length and cycle_weight need planted-cycle, not {self.kind}")
         if self.kind == "path-worst-case":
             return self
-        most = min(self.n * (self.n - 1), MAX_COUNT)
-        base = _check_index(self.base_edge_count(), "m", 0, most)
+        full = self.n * (self.n - 1)  # past MAX_COUNT, the default bound's message names it
+        base = _check_index(self.base_edge_count(), "m", 0, full if full < MAX_COUNT else None)
         if (self.ensure_reachable or self.kind == "planted-cycle") and base < self.n - 1:
             raise ValueError(f"a reachable instance (ensure_reachable or planted-cycle) needs "
                              f"at least n-1 = {self.n - 1} base edges, got {base}")
@@ -154,11 +156,12 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     span = spec.weight_max - lo + 1
     span_bits = span.bit_length()
 
+    ids = list(range(n))
     edges: list[Edge] = []
     if base_m == full:
         # Complete base: every ordered pair, lexicographic; trivially reachable.
-        for u in range(n):
-            for v in range(n):
+        for u in ids:
+            for v in ids:
                 if u != v:
                     r = getrandbits(span_bits)
                     while r >= span:
@@ -167,9 +170,9 @@ def random_graph(spec: GeneratorSpec) -> Graph:
     else:
         if reachable and n > 1:
             # Shuffle 1..n-1, then attach each to a uniform earlier vertex.
-            attach_order = list(range(1, n))
+            attach_order = ids[1:]
             _shuffle(attach_order, getrandbits)
-            connected = [0]
+            connected = [ids[0]]
             for k, v in enumerate(attach_order, start=1):
                 bits = k.bit_length()
                 j = getrandbits(bits)
@@ -191,11 +194,11 @@ def random_graph(spec: GeneratorSpec) -> Graph:
             r = getrandbits(span_bits)
             while r >= span:
                 r = getrandbits(span_bits)
-            edges.append((u, v if v < u else v + 1, lo + r))
+            edges.append((ids[u], ids[v if v < u else v + 1], lo + r))
 
     if spec.kind == "planted-cycle":
         length = spec.cycle_length
-        cycle_vertices = rng.sample(range(n), length)
+        cycle_vertices = rng.sample(ids, length)  # the draws sample(range(n), length) makes
         closing = spec.cycle_weight - (length - 1)
         for i in range(length):
             a = cycle_vertices[i]
@@ -223,9 +226,10 @@ def complete_over_path(n: int) -> Graph:
     """
     n = _check_index(n, "n", 2)
     _check_index(n * (n - 1), "edge count n(n-1)", 0)
+    ids = list(range(n))
     edges = []
-    for u in range(n):
-        for v in range(n):
+    for u in ids:
+        for v in ids:
             if u == v:
                 continue
             w = 1 if v == u + 1 else n

@@ -8,6 +8,10 @@ and keys each tail for the Yen pass over each, in one sweep over the edges;
 ``partition_edges`` flattens that split and puts the self-loops, which no Yen
 pass relaxes, in a third bucket.  The cycle detectors find negative self-loops
 by scanning ``Graph.edges`` themselves.
+
+A graph that the library builds (the generators and ``load_dimacs``) holds one
+int object per vertex id: every edge that names vertex v holds the same object
+for it, so a pass over the edges touches n vertex ints, not two per edge.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ Edge = Tuple[int, int, Weight]  # (tail, head, weight)
 MAX_COUNT = 10**7
 
 
-def _check_index(value, name: str, least: int = 1, most: int = MAX_COUNT) -> int:
+def _check_index(value, name: str, least: int = 1, most: Optional[int] = None) -> int:
     """A count, a source or a length as an int in [least, most], or ``ValueError`` naming
-    it; below the default ``most``, the message quotes the range."""
+    it.  ``most`` defaults to ``MAX_COUNT``; a ``most`` that is given, whatever its
+    value, makes the message quote the range."""
     try:
         value = operator.index(value)  # where int() would truncate a float or parse a string
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not least <= value <= most:
-        raise ValueError(f"{name} {value} out of range [{least}, {most}]" if most != MAX_COUNT
+    if not least <= value <= (MAX_COUNT if most is None else most):
+        raise ValueError(f"{name} {value} out of range [{least}, {most}]" if most is not None
                          else f"{name} must be >= {least}, got {value}" if value < least
                          else f"{name} {value} is above sys.maxsize" if value > sys.maxsize
                          else f"{name} {value} is above MAX_COUNT = {MAX_COUNT}")
@@ -102,7 +107,9 @@ class Graph(namedtuple("Graph", "n edges source", defaults=(0,))):
         The caller has refused whatever ``Graph(n, edges, source)`` refuses and built
         what it would keep: ints ``n`` and ``source``, and each edge as an ``(int, int,
         weight)`` tuple whose weight is ``_canonical_weight``'s.  The callers are
-        ``worst_case_path``, ``random_graph``, ``complete_over_path`` and ``load_dimacs``.
+        ``worst_case_path``, ``random_graph``, ``complete_over_path`` and ``load_dimacs``,
+        and each builds its edges from one int object per vertex id (see the module
+        docstring).
         """
         return super().__new__(cls, n, edges, source)
 

@@ -101,6 +101,13 @@ def test_vertex_count_below_one(tmp_path, text, message):
     assert str(excinfo.value) == message
 
 
+def test_source_above_a_vertex_count_of_max_count_names_the_range(tmp_path):
+    # An explicit bound equal to MAX_COUNT read "source id 10000001 is above MAX_COUNT = 10000000".
+    with pytest.raises(DimacsFormatError) as excinfo:
+        _load(tmp_path, f"p sp {MAX_COUNT} 0\n", source=MAX_COUNT + 1)
+    assert str(excinfo.value) == f"source id {MAX_COUNT + 1} out of range [1, {MAX_COUNT}]"
+
+
 def test_arc_count_mismatch(tmp_path):
     with pytest.raises(DimacsFormatError, match="arc count mismatch"):
         _load(tmp_path, "p sp 2 2\na 1 2 5\n")
@@ -398,3 +405,16 @@ def test_write_names_vertices_of_many_digits(tmp_path_factory, g):
     write_dimacs(g, path)
     assert path.read_bytes() == reference_dimacs_text(g).encode("ascii")
     assert load_dimacs(path) == g
+
+
+def test_a_loaded_graph_holds_one_int_object_per_vertex(tmp_path):
+    # Past CPython's small-int cache (n > 256).  Each path arc names one vertex
+    # seen before and one new, so the loader parses both tokens again; the last
+    # file spells every head with a leading zero, so each vertex has two tokens.
+    n = 600
+    texts = [reference_dimacs_text(worst_case_path(n)),
+             reference_dimacs_text(random_graph(GeneratorSpec(kind="random-sparse", n=n, m=3000))),
+             f"p sp {n} {n - 1}\n" + "".join(f"a {i} 0{i + 1} 1\n" for i in range(1, n))]
+    for text in texts:
+        g = _load(tmp_path, text)
+        assert len({id(x) for u, v, _ in g.edges for x in (u, v)}) <= g.n

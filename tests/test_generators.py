@@ -371,6 +371,17 @@ def test_planted_cycle_refuses_a_weight_graph_refuses(cycle_weight, message):
      "cycle_length 9 out of range [1, 5]"),
     ({"kind": "planted-cycle", "n": 5, "m": 6, "cycle_length": 0, "cycle_weight": -1},
      "cycle_length 0 out of range [1, 5]"),
+    # This read "cycle_length 10000001 is above MAX_COUNT = 10000000", as if n were not
+    # its bound; nothing is drawn, so the spec is cheap at any n.
+    ({"kind": "planted-cycle", "n": MAX_COUNT, "m": MAX_COUNT - 1,
+      "cycle_length": MAX_COUNT + 1, "cycle_weight": -1},
+     f"cycle_length {MAX_COUNT + 1} out of range [1, {MAX_COUNT}]"),
+    # m is bounded by n(n-1) while that is below MAX_COUNT (n <= 3162), and by
+    # MAX_COUNT, whose own wording it keeps, from n = 3163 on.
+    ({"kind": "random-sparse", "n": 3162, "m": 9995083}, "m 9995083 out of range [0, 9995082]"),
+    ({"kind": "random-sparse", "n": 3163, "m": MAX_COUNT + 1},
+     f"m {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}"),
+    ({"kind": "random-sparse", "n": 3163, "m": -1}, "m must be >= 0, got -1"),
 ])
 def test_spec_names_the_field_whose_range_it_refuses(fields, message):
     # These read "edge count 7 outside [0, n*(n-1)]" and "cycle length must be in [1, n]".
@@ -386,3 +397,25 @@ def test_complete_over_path_keeps_the_path_tree():
     result = floyd_warshall(g)
     assert result.dist[0] == [float(v) for v in range(n)]
     assert sorted(tight_edges(g, result.dist[0])) == [(i, i + 1, 1.0) for i in range(n - 1)]
+
+
+_SHARED_ID_BUILDS = {
+    "path-worst-case": lambda: build_graph(GeneratorSpec(kind="path-worst-case", n=600)),
+    "random-sparse": lambda: build_graph(GeneratorSpec(kind="random-sparse", n=600, m=3000)),
+    "random-sparse-reachable": lambda: build_graph(GeneratorSpec(
+        kind="random-sparse", n=600, m=3000, ensure_reachable=True)),
+    "random-dense": lambda: build_graph(GeneratorSpec(kind="random-dense", n=260)),
+    "planted-cycle": lambda: build_graph(GeneratorSpec(
+        kind="planted-cycle", n=600, m=599, cycle_length=400, cycle_weight=-1)),
+    "complete_over_path": lambda: complete_over_path(260),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_ID_BUILDS))
+def test_a_generated_graph_holds_one_int_object_per_vertex(name):
+    # Past CPython's small-int cache (n > 256), endpoints that were computed
+    # apart would be distinct objects of one value.
+    g = _SHARED_ID_BUILDS[name]()
+    assert g.n > 256
+    objects = {id(x) for u, v, _ in g.edges for x in (u, v)}
+    assert len(objects) <= g.n

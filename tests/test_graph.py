@@ -17,7 +17,7 @@ from relaxbench import (
     random_ordering,
     worst_case_path,
 )
-from relaxbench.graph import MAX_COUNT, _shuffle, rank_adjacency
+from relaxbench.graph import MAX_COUNT, _check_index, _shuffle, rank_adjacency
 
 from helpers import all_orderings, graphs, orderings_for, reference_shuffle
 
@@ -37,6 +37,22 @@ def test_graph_validation():
         Graph(sys.maxsize + 1, ())
     with pytest.raises(ValueError, match=f"^vertex count {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}$"):
         Graph(MAX_COUNT + 1, ())
+
+
+def test_check_index_quotes_any_bound_given_even_max_count():
+    # The default bound was told from a given one by value, so a given MAX_COUNT
+    # read "source id 10000001 is above MAX_COUNT = 10000000".
+    for most in (MAX_COUNT - 1, MAX_COUNT, MAX_COUNT + 1):
+        with pytest.raises(ValueError) as excinfo:
+            _check_index(most + 1, "source id", 1, most)
+        assert str(excinfo.value) == f"source id {most + 1} out of range [1, {most}]"
+        assert _check_index(most, "source id", 1, most) == most
+    with pytest.raises(ValueError) as excinfo:
+        _check_index(MAX_COUNT + 1, "n")
+    assert str(excinfo.value) == f"n {MAX_COUNT + 1} is above MAX_COUNT = {MAX_COUNT}"
+    with pytest.raises(ValueError) as excinfo:
+        _check_index(0, "n", 1, None)
+    assert str(excinfo.value) == "n must be >= 1, got 0"
 
 
 def test_graph_rejects_an_endpoint_int_cannot_convert():
